@@ -2,11 +2,13 @@
 
 ``tests/fixtures/runstats_pr3.json`` was generated at the last pre-columnar
 revision (tuple-of-records traces, record-at-a-time interpreter) for three
-workloads x five protocol families at fixed seeds.  These tests assert the
-columnar pipeline reproduces those fixtures **bit-identically** - scalar
-trace summaries and complete ``RunStats`` payloads - plus the tracefile
-v1 -> v2 story: v2 round-trips, v1 files remain loadable, and both decode
-to equal traces.
+workloads x five protocol families at fixed seeds;
+``tests/fixtures/runstats_phase.json`` adds the sixth family (``phase``)
+over the same arch, workloads and scale.  These tests assert the columnar
+pipeline reproduces those fixtures **bit-identically** - scalar trace
+summaries and complete ``RunStats`` payloads - plus the tracefile v1 -> v2
+story: v2 round-trips, v1 files remain loadable, and both decode to equal
+traces.
 """
 
 from __future__ import annotations
@@ -26,7 +28,11 @@ from repro.workloads import tracefile
 from repro.workloads.base import Trace, TraceBuilder
 from repro.workloads.registry import load_workload
 
-FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures" / "runstats_pr3.json"
+FIXTURE_DIR = pathlib.Path(__file__).parent.parent / "fixtures"
+#: Bit-identity fixtures sharing one arch: the five pre-phase families, and
+#: the phase family pinned before its miss path was folded into the
+#: directory engine's.
+FIXTURES = (FIXTURE_DIR / "runstats_pr3.json", FIXTURE_DIR / "runstats_phase.json")
 
 #: The four accelerator combinations (mesh x sched, each on/off).  The
 #: fixtures were generated pre-accelerator, so every combo must reproduce
@@ -51,7 +57,10 @@ def kernel_combo(request, monkeypatch):
 
 @pytest.fixture(scope="module")
 def fixture_data():
-    return json.loads(FIXTURES.read_text())
+    files = [json.loads(path.read_text()) for path in FIXTURES]
+    arch = files[0]["arch"]
+    assert all(data["arch"] == arch for data in files)
+    return {"arch": arch, "entries": [entry for data in files for entry in data["entries"]]}
 
 
 @pytest.fixture(scope="module")
