@@ -37,6 +37,16 @@ class DirectoryEntry:
             return DirState.SHARED
         return DirState.UNCACHED
 
+    def foreign_copies(self, core: int, is_write: bool) -> bool:
+        """True when a request by ``core`` must first resolve another
+        core's copy: for a write, any sharer other than ``core`` (an
+        invalidation round); for a read, an exclusive owner other than
+        ``core`` (a synchronous write-back)."""
+        if is_write:
+            sharers = self.sharers
+            return bool(sharers) and not (len(sharers) == 1 and core in sharers)
+        return self.owner >= 0 and self.owner != core
+
     def check_invariants(self) -> None:
         """SWMR: an exclusive owner is the *only* core with a valid copy."""
         if self.owner >= 0 and self.sharers != {self.owner}:

@@ -28,8 +28,9 @@ from typing import Iterable, Sequence
 
 from repro.common.params import ArchConfig, CacheGeometry, ProtocolConfig, baseline_protocol
 from repro.runner.backends import ExecutionBackend
+from repro.runner.backends.local import build_trace
 from repro.runner.job import Job
-from repro.runner.parallel import ParallelRunner, build_trace, format_progress
+from repro.runner.parallel import ParallelRunner, format_progress
 from repro.runner.store import ResultStore
 from repro.sim.stats import RunStats
 from repro.workloads.base import Trace

@@ -550,7 +550,7 @@ class MeshNetwork:
     ) -> tuple[float, float]:
         """Reserve a request leg and its dependent reply leg in one call.
 
-        Exactly equivalent to the unchained engine sequence::
+        Exactly equivalent to the composed sequence::
 
             t1 = traverse_path(path1, t0, flits1)        # request tail
             start = max(t1, busy_until)                   # wait out the line

@@ -19,9 +19,21 @@ Concrete families implement :meth:`access` plus the purge hooks:
 
 * ``repro.protocol.directory`` - the directory-based families (``baseline``,
   ``adaptive``; ``victim`` extends it with local-L2 victim replication);
+* ``repro.protocol.phase`` - phase-priority directory coherence: the
+  directory engine with its requester-classification step replaced;
 * ``repro.protocol.dls`` - the directoryless shared-LLC comparison baseline;
 * ``repro.protocol.neat`` - the self-invalidation/self-downgrade comparison
   baseline.
+
+Every family's miss has one shape: probe, then chain or deliver.
+:meth:`_chain_probe` checks that the line's home is memoized and the line
+is resident there.  If so, and no coherence round must run between the
+legs, the request and the reply ride one ``MeshNetwork.traverse_chain``
+call (:meth:`_chain_request_reply`).  Otherwise :meth:`_request_at_home`
+(or :meth:`_deliver_request`) delivers the request - home resolution,
+serialization, off-chip fill - and the reply is reserved after service.
+The shape is the same with and without the compiled mesh kernel; without
+it ``traverse_chain`` composes the ``traverse_path`` calls exactly.
 
 ``repro.protocol.engine.make_engine`` maps ``ProtocolConfig.protocol`` to the
 family class.
@@ -124,7 +136,6 @@ class ProtocolEngineBase:
         "_net_chain",
         "_net_many",
         "_net_flits",
-        "_chain_enabled",
     )
 
     def __init__(
@@ -174,12 +185,6 @@ class ProtocolEngineBase:
         self._net_chain = self.network.traverse_chain
         self._net_many = self.network.traverse_many
         self._net_flits = [self.network.flits_for(msg) for msg in MsgType]
-        #: The chained miss shapes only engage when each chain call
-        #: actually saves an FFI crossing; without the kernel the probe
-        #: and precheck are pure overhead, so the fallback runs the
-        #: original inlined sequences (bit-identical either way - the
-        #: chain composition is exact).
-        self._chain_enabled = self.network.implementation == "accel"
 
         #: Shared L1-hit result: every field of a hit is constant (zero
         #: latency decomposition, ``hit=True``), so the hit fast path returns
@@ -460,8 +465,6 @@ class ProtocolEngineBase:
         an off-chip fill whose timing interleaves with the reply) must
         run instead.
         """
-        if not self._chain_enabled:
-            return None
         cached = self._line_home_cache.get(line)
         if cached is None or not (cached[1] < 0 or cached[1] == core):
             return None

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from repro.common import addr as addrmod
 from repro.common.errors import CoherenceError, SimulationError
-from repro.common.types import MESIState, MissType, RemovalReason, SharerMode
+from repro.common.types import MESIState, RemovalReason, SharerMode
 from repro.coherence.directory import DirectoryEntry
 from repro.mem.cache import CacheLine
 from repro.mem.l2 import L2Line, L2Slice
@@ -180,145 +180,67 @@ class DirectoryEngine(ProtocolEngineBase):
         result = AccessResult()
 
         # ---- request to the home slice (tag + directory lookup there).
-        # The home-memo hit (stable line home) plus uncontended delivery is
-        # the common case, so ``_request_at_home``/``_deliver_request`` are
-        # inlined here: reserved-path traversal, per-line serialization, L2
-        # tag access.  Memo misses (first touch, private -> shared
-        # transitions) take the shared slow path.
+        # Probe, then chain or deliver.  A line resident at its memoized
+        # home whose request resolves no foreign copy (writes: no other
+        # sharer to invalidate; reads: no other exclusive owner to write
+        # back) has the request and the reply as its only traversals, so
+        # both ride one traverse_chain call.  Any other miss delivers the
+        # request first (home resolution, off-chip fill, or a coherence
+        # round between the legs) and reserves the reply after service.
         if is_write:
             req_msg = _UPGRADE_REQ if upgrade else _WRITE_REQ
         else:
             req_msg = _READ_REQ
-        reply_t = None
-        cached = self._line_home_cache.get(line)
-        if cached is not None and (cached[1] < 0 or cached[1] == core):
-            home = cached[0]
-            slice_ = self.l2[home]
-            store = slice_.store
-            l2line = store._sets[line & store._set_mask].get(line)
-            # Clean precheck for the chained shape: when no invalidation
-            # round (writes: no foreign sharer) and no synchronous
-            # write-back (reads: no foreign exclusive owner) can fire, the
-            # request and reply are the only traversals of this miss, so
-            # both ride one traverse_chain call.  The check runs BEFORE
-            # classification: _remove_own_copy - the only directory
-            # mutation classification can make - removes the requester
-            # itself, which cannot make a clean line dirty.
-            if l2line is not None and self._chain_enabled:
-                dirent = l2line.directory
-                if is_write:
-                    sharers = dirent.sharers
-                    clean = not sharers or (len(sharers) == 1 and core in sharers)
-                else:
-                    clean = dirent.owner < 0 or dirent.owner == core
-                if clean:
-                    energy.directory_lookups += 1
-                    serviced_remote, upgrade = self._classify_requester(
-                        l1, l2line, core, line, upgrade
-                    )
-                    if serviced_remote:
-                        reply_msg = _WORD_WRITE_ACK if is_write else _WORD_REPLY
-                    elif is_write and upgrade:
-                        reply_msg = _WORD_WRITE_ACK
-                    else:
-                        reply_msg = _LINE_REPLY
-                    t, reply_t = self._chain_request_reply(
-                        core, home, l2line, slice_, req_msg, reply_msg, now, result
-                    )
-            if reply_t is None:
-                path = self._net_paths[core * self._num_tiles + home]
-                if path is None:
-                    path = self._net_resolve(core, home)
-                t = self._net_traverse(path, now, self._net_flits[req_msg])
-                if l2line is not None and l2line.busy_until > t:
-                    result.l2_waiting = l2line.busy_until - t
-                    t = l2line.busy_until
-                t += self._l2_latency
-                energy.l2_tag_accesses += 1
-                if l2line is None:
-                    slice_.misses += 1
-                    l2line, t, result.l2_offchip = self._l2_fill(home, line, t)
-                else:
-                    slice_.hits += 1
-        else:
+        probe = self._chain_probe(core, line)
+        if probe is None:
             home, slice_, l2line, t = self._request_at_home(core, line, req_msg, now, result)
-        if reply_t is None:
-            energy.directory_lookups += 1
-            # ---- classify the requester: private or remote sharer.
-            # Inlined copy of _classify_requester (the chained branch's
-            # canonical version above) - one method call per miss is
-            # measurable in this loop, and the unchained path is what the
-            # pure-Python fallback always runs.
-            classifier = self.classifier
-            if classifier is None:
-                mode, centry = _PRIVATE_MODE, None
+        else:
+            home, slice_, l2line = probe
+        dirent = l2line.directory
+        foreign = dirent.foreign_copies(core, is_write)
+        energy.directory_lookups += 1
+
+        # ---- classify the requester: private or remote sharer.  This
+        # touches no network or timing state, so it commutes with request
+        # delivery; its only directory mutation (_remove_own_copy) removes
+        # the requester itself, so ``foreign`` still holds afterwards.
+        serviced_remote, upgrade = self._classify_requester(
+            l1, l2line, core, line, is_write, upgrade
+        )
+
+        reply_t = None
+        if probe is not None:
+            if foreign:
+                t = self._deliver_request(core, line, home, None, req_msg, now, result)[3]
             else:
-                entries = l2line.locality
-                centry = entries.get(core) if entries is not None else None
-                if centry is None:
-                    centry = classifier.locality_entry(l2line, core, True)
-                if centry is not None:
-                    mode = centry.mode
+                if serviced_remote:
+                    reply_msg = _WORD_WRITE_ACK if is_write else _WORD_REPLY
+                elif is_write and upgrade:
+                    reply_msg = _WORD_WRITE_ACK
                 else:
-                    classifier.vote_decisions += 1
-                    tracked = remote_votes = 0
-                    for e in entries.values():
-                        tracked += 1
-                        if e.mode is _REMOTE_MODE:
-                            remote_votes += 1
-                    mode = _REMOTE_MODE if 2 * remote_votes > tracked else _PRIVATE_MODE
-
-            if upgrade and mode is _REMOTE_MODE:
-                # Rare: the classifier lost this core's slot and votes
-                # remote while it still holds an S copy - fold it back.
-                self._remove_own_copy(core, line, l2line)
-                upgrade = False
-
-            serviced_remote = False
-            if mode is _REMOTE_MODE:
-                l1_min = l1.min_set_last_access(line)
-                promoted = classifier.on_remote_access(
-                    l2line, centry, l1_min, l1_min is None
+                    reply_msg = _LINE_REPLY
+                t, reply_t = self._chain_request_reply(
+                    core, home, l2line, slice_, req_msg, reply_msg, now, result
                 )
-                serviced_remote = not promoted
 
-        # ---- miss classification uses the pre-service history
-        # (_classify_miss, inlined - Section 4.4).
+        # ---- miss classification uses the pre-service history (Section 4.4).
         history = self._history[core]
         flags = history.get(line, 0)
-        if upgrade:
-            miss_type = MissType.UPGRADE
-        elif serviced_remote and flags & _EVER_REMOTE:
-            miss_type = MissType.WORD
-        elif not flags & _EVER_CACHED:
-            miss_type = MissType.COLD
-        elif flags & _LAST_REMOVAL_INVAL:
-            miss_type = MissType.SHARING
-        else:
-            miss_type = MissType.CAPACITY
+        miss_type = self._classify_miss(flags, upgrade, serviced_remote)
         result.miss_type = miss_type
         result.remote = serviced_remote
         self.miss_stats._miss_counts[miss_type] += 1
 
-        dirent = l2line.directory
-
-        # ---- coherence actions at the home.
-        if is_write:
-            # The no-other-sharers write (the common write miss) skips the
-            # invalidation round without a call; _invalidate_sharers keeps
-            # the same guard for its other callers.
-            sharers = dirent.sharers
-            if sharers and not (len(sharers) == 1 and core in sharers):
+        # ---- coherence actions at the home: resolve foreign copies.
+        if foreign:
+            if is_write:
                 sharers_lat = self._invalidate_sharers(line, l2line, home, core, t)
-                t += sharers_lat
-                result.l2_sharers = sharers_lat
-            classifier = self.classifier
-            if classifier is not None:
-                classifier.on_write(l2line, core)
-        elif dirent.owner >= 0 and dirent.owner != core:
-            sharers_lat = self._sync_writeback(line, l2line, home, t)
+            else:
+                sharers_lat = self._sync_writeback(line, l2line, home, t)
             t += sharers_lat
             result.l2_sharers = sharers_lat
+        if is_write and self.classifier is not None:
+            self.classifier.on_write(l2line, core)
 
         # ---- service: word access at L2 or private line grant.  On the
         # chained path the reply leg is already reserved; only the
@@ -372,17 +294,19 @@ class DirectoryEngine(ProtocolEngineBase):
     # Requester classification (private vs remote sharer)
     # ------------------------------------------------------------------
     def _classify_requester(
-        self, l1, l2line: L2Line, core: int, line: int, upgrade: bool
+        self, l1, l2line: L2Line, core: int, line: int, is_write: bool, upgrade: bool
     ) -> tuple[bool, bool]:
-        """Ask the locality classifier how to service this requester
-        (classifier.resolve_mode inlined, including the tracked-entry
-        probe of LimitedClassifier.locality_entry - one dict get).
+        """Decide how to service this requester: the one per-family step
+        of the miss path (PhaseEngine overrides it with its phase policy).
+        Here the locality classifier decides (classifier.resolve_mode
+        inlined, including the tracked-entry probe of
+        LimitedClassifier.locality_entry - one dict get).
 
         Touches no network or timing state, so it runs identically before
         the request departs (chained shape, which needs the reply type up
         front) or after it arrives (general path).  Returns
         ``(serviced_remote, upgrade)``; ``upgrade`` folds to False when
-        the classifier votes remote for a core still holding an S copy
+        the requester is serviced remotely while still holding an S copy
         (the copy is folded back via ``_remove_own_copy``).
         """
         classifier = self.classifier
@@ -532,15 +456,11 @@ class DirectoryEngine(ProtocolEngineBase):
         Returns the "L2 cache to sharers" latency: the round-trip until all
         acknowledgements (with piggybacked utilization counters) arrive.
         ACKwise broadcasts when its pointers overflowed; acknowledgements
-        come only from the true sharers.
+        come only from the true sharers.  The caller has checked
+        ``dirent.foreign_copies``, so there is at least one target.
         """
         dirent = l2line.directory
-        sharers = dirent.sharers
-        if not sharers or (len(sharers) == 1 and requester in sharers):
-            return 0.0  # nobody else to invalidate (the common write miss)
-        targets = [c for c in sharers if c != requester]
-        if not targets:
-            return 0.0
+        targets = [c for c in dirent.sharers if c != requester]
         paths = self._net_paths
         resolve = self._net_resolve
         traverse = self._net_traverse

@@ -45,30 +45,12 @@ untouched.
 
 from __future__ import annotations
 
-from repro.common.types import MissType, SharerMode
-from repro.protocol.base import (
-    _EVER_CACHED,
-    _EVER_REMOTE,
-    _LAST_REMOVAL_INVAL,
-    AccessResult,
-)
-from repro.protocol.directory import (
-    _LINE_REPLY,
-    _READ_REQ,
-    _UPGRADE_REQ,
-    _WORD_REPLY,
-    _WORD_WRITE_ACK,
-    _WRITE_REQ,
-    DirectoryEngine,
-)
+from repro.protocol.directory import DirectoryEngine
 
 # Line phases, ordered so decay is a subtraction.
 PHASE_PRIVATE = 0
 PHASE_READ_SHARED = 1
 PHASE_WRITE_SHARED = 2
-
-_PRIVATE_MODE = SharerMode.PRIVATE
-_REMOTE_MODE = SharerMode.REMOTE
 
 
 class PhaseEngine(DirectoryEngine):
@@ -135,10 +117,7 @@ class PhaseEngine(DirectoryEngine):
             self.phase_demotions += 1
         phase = info[0]
         if is_write:
-            sharers = dirent.sharers
-            shared_write = info[1] != core or (
-                sharers and not (len(sharers) == 1 and core in sharers)
-            )
+            shared_write = info[1] != core or dirent.foreign_copies(core, True)
             if shared_write and phase != PHASE_WRITE_SHARED:
                 info[0] = phase = PHASE_WRITE_SHARED
                 info[2] = epoch
@@ -151,153 +130,24 @@ class PhaseEngine(DirectoryEngine):
         return phase
 
     # ==================================================================
-    # Miss path: DirectoryEngine._service_miss with the utilization
-    # classifier replaced by the phase policy (the classifier is None for
-    # this family, so the parent's classifier blocks are dropped rather
-    # than branched around).
+    # Miss path: DirectoryEngine._service_miss, with the phase policy as
+    # its classification step (the utilization classifier is None for
+    # this family, so the parent's classifier hooks are never called).
     # ==================================================================
-    def _service_miss(
-        self,
-        core: int,
-        is_write: bool,
-        line: int,
-        word: int,
-        now: float,
-        upgrade: bool,
-    ) -> AccessResult:
-        l1 = self.l1d[core]
-        l1.misses += 1
-        energy = self.energy
-        energy.l1d_tag_accesses += 1
-        result = AccessResult()
-
-        # ---- request to the home slice (shared delivery path).
-        if is_write:
-            req_msg = _UPGRADE_REQ if upgrade else _WRITE_REQ
-        else:
-            req_msg = _READ_REQ
-        reply_t = None
-        cached = self._line_home_cache.get(line) if self._chain_enabled else None
-        if cached is not None and (cached[1] < 0 or cached[1] == core):
-            home = cached[0]
-            slice_ = self.l2[home]
-            store = slice_.store
-            l2line = store._sets[line & store._set_mask].get(line)
-            # Same clean precheck / chained shape as DirectoryEngine:
-            # _resolve_phase touches no network or timing state and never
-            # adds a sharer or owner, so it runs before the request departs
-            # and the reply rides the same traverse_chain call.
-            if l2line is not None:
-                dirent = l2line.directory
-                if is_write:
-                    sharers = dirent.sharers
-                    clean = not sharers or (len(sharers) == 1 and core in sharers)
-                else:
-                    clean = dirent.owner < 0 or dirent.owner == core
-                if clean:
-                    energy.directory_lookups += 1
-                    phase = self._resolve_phase(core, is_write, line, dirent)
-                    serviced_remote = phase == PHASE_WRITE_SHARED
-                    if upgrade and serviced_remote:
-                        self._remove_own_copy(core, line, l2line)
-                        upgrade = False
-                    if serviced_remote:
-                        reply_msg = _WORD_WRITE_ACK if is_write else _WORD_REPLY
-                    elif is_write and upgrade:
-                        reply_msg = _WORD_WRITE_ACK
-                    else:
-                        reply_msg = _LINE_REPLY
-                    t, reply_t = self._chain_request_reply(
-                        core, home, l2line, slice_, req_msg, reply_msg, now, result
-                    )
-        if reply_t is None:
-            home, slice_, l2line, t = self._request_at_home(core, line, req_msg, now, result)
-            energy.directory_lookups += 1
-
-            dirent = l2line.directory
-
-            # ---- phase classification replaces the utilization classifier.
-            phase = self._resolve_phase(core, is_write, line, dirent)
-            serviced_remote = phase == PHASE_WRITE_SHARED
-
-            if upgrade and serviced_remote:
-                # The line just entered (or already was in) the write-shared
-                # phase while this core still holds an S copy: fold the copy
-                # back before servicing at the home.
-                self._remove_own_copy(core, line, l2line)
-                upgrade = False
-
-        # ---- miss classification uses the pre-service history.
-        history = self._history[core]
-        flags = history.get(line, 0)
+    def _classify_requester(
+        self, l1, l2line, core: int, line: int, is_write: bool, upgrade: bool
+    ) -> tuple[bool, bool]:
+        """Service the requester remotely iff the line is write-shared."""
+        phase = self._resolve_phase(core, is_write, line, l2line.directory)
+        if phase != PHASE_WRITE_SHARED:
+            return False, upgrade
         if upgrade:
-            miss_type = MissType.UPGRADE
-        elif serviced_remote and flags & _EVER_REMOTE:
-            miss_type = MissType.WORD
-        elif not flags & _EVER_CACHED:
-            miss_type = MissType.COLD
-        elif flags & _LAST_REMOVAL_INVAL:
-            miss_type = MissType.SHARING
-        else:
-            miss_type = MissType.CAPACITY
-        result.miss_type = miss_type
-        result.remote = serviced_remote
-        self.miss_stats._miss_counts[miss_type] += 1
-
-        # ---- coherence actions at the home (same as the directory path).
-        if is_write:
-            sharers = dirent.sharers
-            if sharers and not (len(sharers) == 1 and core in sharers):
-                sharers_lat = self._invalidate_sharers(line, l2line, home, core, t)
-                t += sharers_lat
-                result.l2_sharers = sharers_lat
-        elif dirent.owner >= 0 and dirent.owner != core:
-            sharers_lat = self._sync_writeback(line, l2line, home, t)
-            t += sharers_lat
-            result.l2_sharers = sharers_lat
-
-        # ---- service: word access at the home or private line grant (on
-        # the chained path the reply leg is already reserved).
-        if serviced_remote:
-            self.phase_word_accesses += 1
-            if reply_t is None:
-                reply_t = self._service_word_at_home(
-                    core, is_write, line, word, l2line, home, slice_, t
-                )
-            else:
-                self._word_service_bookkeeping(core, is_write, line, word, l2line, slice_)
-            flags |= _EVER_REMOTE
-        else:
-            if reply_t is None:
-                reply_t = self._service_private(
-                    core, is_write, line, word, l2line, home, slice_, t, upgrade
-                )
-            else:
-                self._grant_private(core, is_write, line, word, l2line, slice_, upgrade, reply_t)
-            flags |= _EVER_CACHED
-        history[line] = flags
-
-        # ---- settle timing: word reads pipeline, everything else owns
-        # the line until the directory settles (Section 5.1.2 rule).
-        if serviced_remote and not is_write:
-            busy = t - self._l2_latency + 1.0
-            if busy > l2line.busy_until:
-                l2line.busy_until = busy
-        else:
-            l2line.busy_until = t
-        store = slice_.store
-        store._use_counter = counter = store._use_counter + 1
-        l2line.last_use = counter
-        l2line.last_access = t
-        energy.directory_updates += 1
-
-        result.latency = reply_t - now
-        result.l1_to_l2 = (
-            result.latency - result.l2_waiting - result.l2_sharers - result.l2_offchip
-        )
-        if self.verify:
-            dirent.check_invariants()
-        return result
+            # The line just entered (or already was in) the write-shared
+            # phase while this core still holds an S copy: fold the copy
+            # back before servicing at the home.
+            self._remove_own_copy(core, line, l2line)
+        self.phase_word_accesses += 1
+        return True, False
 
     # ------------------------------------------------------------------
     # Introspection helper used by tests.

@@ -26,7 +26,8 @@ from repro.runner.backends import (
     make_backend,
 )
 from repro.runner.job import JOB_SCHEMA, Job, canonical_json
-from repro.runner.parallel import ParallelRunner, build_trace, execute_job
+from repro.runner.backends.local import build_trace, execute_job
+from repro.runner.parallel import ParallelRunner
 from repro.runner.store import DEFAULT_CACHE_DIR, ResultStore
 from repro.runner.sweep import (
     FIGURE11_PCTS,

@@ -30,10 +30,7 @@ from typing import Callable, Iterable, Sequence
 from repro.common.errors import RunnerError
 from repro.obs import TELEMETRY
 from repro.runner.backends import ExecutionBackend, LocalBackend, ProcessBackend
-
-# Re-exported for compatibility: the trace memo and job kernel moved to
-# ``repro.runner.backends.local`` but remain part of this module's API.
-from repro.runner.backends.local import build_trace, execute_job  # noqa: F401
+from repro.runner.backends.local import build_trace
 from repro.runner.job import Job
 from repro.runner.store import ResultStore
 from repro.sim.stats import RunStats

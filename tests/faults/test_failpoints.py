@@ -16,8 +16,8 @@ from repro.common.errors import RunnerError
 from repro.experiments.harness import adaptive_protocol, bench_arch
 from repro.faults import FAULTS, FaultRule, FaultSchedule
 from repro.obs import Telemetry
+from repro.runner.backends.local import execute_job
 from repro.runner.job import Job
-from repro.runner.parallel import execute_job
 from repro.runner.store import ResultStore
 
 

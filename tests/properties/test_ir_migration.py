@@ -29,14 +29,13 @@ from repro.workloads.base import Trace, TraceBuilder
 from repro.workloads.registry import load_workload
 
 FIXTURE_DIR = pathlib.Path(__file__).parent.parent / "fixtures"
-#: Bit-identity fixtures sharing one arch: the five pre-phase families, and
-#: the phase family pinned before its miss path was folded into the
-#: directory engine's.
+#: Bit-identity fixtures sharing one arch: the five pre-phase families,
+#: and the phase family.
 FIXTURES = (FIXTURE_DIR / "runstats_pr3.json", FIXTURE_DIR / "runstats_phase.json")
 
-#: The four accelerator combinations (mesh x sched, each on/off).  The
-#: fixtures were generated pre-accelerator, so every combo must reproduce
-#: them bit-identically; on hosts without a C compiler all four collapse
+#: The four accelerator combinations (mesh x sched, each on/off).  Every
+#: combo must reproduce the fixtures bit-identically, whichever combo
+#: generated them; on hosts without a C compiler all four collapse
 #: to the pure-Python fallback and still must pass.
 KERNEL_COMBOS = {
     "mesh+sched": (),

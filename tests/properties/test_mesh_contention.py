@@ -228,3 +228,71 @@ class TestReferenceEquivalence:
                 assert via_unicast == via_path
                 t += 3.0
         assert a.occupancy_map() == b.occupancy_map()
+
+
+def twin_counters(net: MeshNetwork) -> tuple:
+    return (
+        net.occupancy_map(),
+        net.messages_sent,
+        net.flits_sent,
+        net.link_flit_traversals,
+    )
+
+
+class TestChainAndBatchSeams:
+    """``traverse_chain`` and ``traverse_many`` are the protocol engines'
+    request -> home -> reply and invalidation-round entries.  Each must
+    equal the ``traverse_path`` sequence it stands for, on both
+    implementations - including same-tile (empty) legs, lines still busy
+    when the request arrives, and contention from earlier traffic."""
+
+    @BOTH_IMPLS
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_traverse_chain_equals_composed_traverse_path(self, impl, data):
+        chained = make_net(impl)
+        composed = make_net(impl)
+        tiles = st.integers(0, 15)
+        flit_sizes = st.sampled_from((1, 2, 9))
+        t0 = 0.0
+        for _ in range(data.draw(st.integers(1, 40))):
+            src, home = data.draw(tiles), data.draw(tiles)
+            dst = data.draw(st.one_of(st.just(src), tiles))
+            f1, f2 = data.draw(flit_sizes), data.draw(flit_sizes)
+            t0 += data.draw(st.floats(0.0, 2.5 * EPOCH_CYCLES))
+            # Busy lines land both before and after the request's arrival.
+            busy = data.draw(st.one_of(st.just(0.0), st.floats(t0, t0 + 120.0)))
+            gap = float(data.draw(st.sampled_from((0, 1, 7))))
+            got = chained.traverse_chain(
+                chained.resolve_path(src, home), f1, t0, busy, gap,
+                chained.resolve_path(home, dst), f2,
+            )
+            t1 = composed.traverse_path(composed.resolve_path(src, home), t0, f1)
+            start = busy if busy > t1 else t1
+            t2 = composed.traverse_path(composed.resolve_path(home, dst), start + gap, f2)
+            assert got == (t1, t2), (src, home, dst, f1, f2, t0, busy, gap)
+        assert twin_counters(chained) == twin_counters(composed)
+
+    @BOTH_IMPLS
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_traverse_many_equals_per_path_loop(self, impl, data):
+        batched = make_net(impl)
+        looped = make_net(impl)
+        tiles = st.integers(0, 15)
+        t_head = 0.0
+        for _ in range(data.draw(st.integers(1, 20))):
+            home = data.draw(tiles)
+            # Targets may include the home itself: an empty path in the mix.
+            targets = data.draw(st.lists(tiles, min_size=0, max_size=8))
+            flits = data.draw(st.sampled_from((1, 2, 9)))
+            t_head += data.draw(st.floats(0.0, 2.5 * EPOCH_CYCLES))
+            got = batched.traverse_many(
+                [batched.resolve_path(home, c) for c in targets], t_head, flits
+            )
+            want = [
+                looped.traverse_path(looped.resolve_path(home, c), t_head, flits)
+                for c in targets
+            ]
+            assert got == want, (home, targets, flits, t_head)
+        assert twin_counters(batched) == twin_counters(looped)

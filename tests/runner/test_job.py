@@ -123,7 +123,7 @@ class TestVerifyTwin:
     def test_verified_run_produces_identical_stats(self):
         from repro.experiments.harness import bench_arch
         from repro.common.params import neat_protocol
-        from repro.runner.parallel import execute_job
+        from repro.runner.backends.local import execute_job
 
         plain = Job(workload="tsp", proto=neat_protocol(), arch=bench_arch(16), scale="tiny")
         checked = Job(

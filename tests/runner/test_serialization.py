@@ -10,8 +10,8 @@ from repro.common.params import ArchConfig, EnergyConfig, ProtocolConfig
 from repro.common.types import MissType
 from repro.energy.model import EnergyBreakdown
 from repro.experiments.harness import adaptive_protocol, bench_arch
+from repro.runner.backends.local import execute_job
 from repro.runner.job import Job
-from repro.runner.parallel import execute_job
 from repro.sim.stats import LatencyBreakdown, MissStats, RunStats, UtilizationHistogram
 
 
