@@ -4,7 +4,8 @@
 revision (tuple-of-records traces, record-at-a-time interpreter) for three
 workloads x five protocol families at fixed seeds;
 ``tests/fixtures/runstats_phase.json`` adds the sixth family (``phase``)
-over the same arch, workloads and scale.  These tests assert the columnar
+and ``tests/fixtures/runstats_neat_release.json`` Neat's release-boundary
+downgrade mode, over the same arch, workloads and scale.  These tests assert the columnar
 pipeline reproduces those fixtures **bit-identically** - scalar trace
 summaries and complete ``RunStats`` payloads - plus the tracefile v1 -> v2
 story: v2 round-trips, v1 files remain loadable, and both decode to equal
@@ -30,8 +31,12 @@ from repro.workloads.registry import load_workload
 
 FIXTURE_DIR = pathlib.Path(__file__).parent.parent / "fixtures"
 #: Bit-identity fixtures sharing one arch: the five pre-phase families,
-#: and the phase family.
-FIXTURES = (FIXTURE_DIR / "runstats_pr3.json", FIXTURE_DIR / "runstats_phase.json")
+#: the phase family, and Neat in release-boundary downgrade mode.
+FIXTURES = (
+    FIXTURE_DIR / "runstats_pr3.json",
+    FIXTURE_DIR / "runstats_phase.json",
+    FIXTURE_DIR / "runstats_neat_release.json",
+)
 
 #: The four accelerator combinations (mesh x sched, each on/off).  Every
 #: combo must reproduce the fixtures bit-identically, whichever combo
