@@ -7,8 +7,9 @@ classes from it:
 * ``MeshKernel`` (phase 1): the epoch ring-buffer bandwidth accounting
   behind ``MeshNetwork.traverse_path``;
 * ``SchedKernel`` (phase 2): the simulator's columnar record walk -
-  cursors, min-clock heap and the inline L1-hit fast path - behind
-  ``Simulator._execute``.
+  cursors, min-clock heap, the inline L1-hit fast path and the native
+  shapes (Neat's version-gated read hit, the DLS resident word access) -
+  behind ``Simulator._execute``.
 
 Selection rules, per kernel and in order:
 
@@ -79,7 +80,8 @@ def _mesh_constants() -> dict[str, int]:
 
 def _sched_constants() -> dict[str, int]:
     from repro.common import addr
-    from repro.common.types import Op
+    from repro.common.types import MissType, Op
+    from repro.protocol import base
 
     return {
         "OP_READ": int(Op.READ),
@@ -89,6 +91,17 @@ def _sched_constants() -> dict[str, int]:
         "OP_UNLOCK": int(Op.UNLOCK),
         "OP_WORK": int(Op.WORK),
         "LINE_BITS": addr.LINE_BITS,
+        # The native DLS word path's address split, miss typing and
+        # history flags (protocol/base.py).
+        "WORD_BITS": addr.WORD_BITS,
+        "MISS_COLD": int(MissType.COLD),
+        "MISS_CAPACITY": int(MissType.CAPACITY),
+        "MISS_SHARING": int(MissType.SHARING),
+        "MISS_WORD": int(MissType.WORD),
+        "MISS_TYPES": len(MissType),
+        "EVER_CACHED": base._EVER_CACHED,
+        "LAST_REMOVAL_INVAL": base._LAST_REMOVAL_INVAL,
+        "EVER_REMOTE": base._EVER_REMOTE,
     }
 
 

@@ -286,6 +286,41 @@ path_at(KernelObject *k, Py_ssize_t handle, long long *hops)
     return p + 1;
 }
 
+static PyTypeObject KernelType;
+
+/* ------------------------------------------------------------------ */
+/* Exported to _sched.c (same shared object): the scheduler kernel's    */
+/* native DLS word path reserves both legs of a word round-trip here,  */
+/* through exactly the walk Kernel_traverse_chain runs.                */
+/* ------------------------------------------------------------------ */
+
+int
+repro_mesh_check(PyObject *obj)
+{
+    return Py_TYPE(obj) == &KernelType;
+}
+
+/* Reserve the registered path `handle` at t_head; store the TAIL arrival
+ * in *tail.  Returns 0, or -1 with an exception set. */
+int
+repro_mesh_traverse(PyObject *kernel, Py_ssize_t handle, double t_head,
+                    long long flits, double *tail)
+{
+    KernelObject *k = (KernelObject *)kernel;
+    long long hops;
+    const int32_t *links = path_at(k, handle, &hops);
+    if (links == NULL) {
+        return -1;
+    }
+    int err = 0;
+    *tail = traverse_links(k, links, hops, t_head, flits, &err);
+    if (err) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    return 0;
+}
+
 /* ------------------------------------------------------------------ */
 /* Type methods                                                        */
 /* ------------------------------------------------------------------ */

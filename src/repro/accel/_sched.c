@@ -22,6 +22,24 @@
  *     buffered per entry and written back before any engine code can
  *     observe them.
  *
+ * Two more shapes retire natively (DESIGN.md section 14, "Native shapes"):
+ *
+ *   - the Neat read-hit gate: with a `versions` descriptor field a resident
+ *     read retires as a hit only while the copy's fetch version equals the
+ *     line version (both dicts re-read per record); no write retires;
+ *   - the DLS word path (the `word` descriptor): a load/store to a line
+ *     resident at its word home runs the resident branch of
+ *     DLSEngine.access natively - both legs through the mesh kernel's
+ *     traverse_links, serialization, L2 bookkeeping, history flags and
+ *     miss typing.  It declines (and calls access) whenever a Python-side
+ *     effect could be due: an unclassified page, a private page owned by
+ *     another core, a non-resident line, an unresolved route.  It re-reads
+ *     the page table, the set dict and the route memo every record and
+ *     holds no borrowed pointer across any Python call, so it needs no
+ *     mirror and no observer.  Its order-independent integer counters
+ *     (energy, slice, miss-type and mesh traffic counts) accumulate
+ *     natively and are folded into the Python objects by finish().
+ *
  * The kernel exits to Python only on cold events: an access() miss calls
  * the engine directly (the loop stays native around it), while
  * barrier/lock/unlock records return an exit tuple *before* the record is
@@ -71,7 +89,21 @@
 #define K_OP_UNLOCK 4
 #define K_OP_WORK 5
 #define K_LINE_BITS 6
-#define K_SCHED_ABI_VERSION 1
+#define K_WORD_BITS 3
+#define K_MISS_COLD 0
+#define K_MISS_CAPACITY 1
+#define K_MISS_SHARING 3
+#define K_MISS_WORD 4
+#define K_MISS_TYPES 5
+#define K_EVER_CACHED 1
+#define K_LAST_REMOVAL_INVAL 2
+#define K_EVER_REMOTE 4
+#define K_SCHED_ABI_VERSION 2
+
+/* Mesh kernel entry points (_kernel.c, same shared object). */
+extern int repro_mesh_check(PyObject *obj);
+extern int repro_mesh_traverse(PyObject *kernel, Py_ssize_t handle,
+                               double t_head, long long flits, double *tail);
 
 #define MAP_EMPTY (-1)
 #define MAP_TOMBSTONE (-2)
@@ -144,6 +176,43 @@ typedef struct {
     MapCell **dirty;
     Py_ssize_t dirty_len;
     Py_ssize_t dirty_cap;
+
+    /* Neat read-hit gate (NULL for families whose hits need no check). */
+    PyObject *v_copies;          /* strong: per-core {line: fetch version} */
+    PyObject *v_lines;           /* strong: {line: line version} */
+
+    /* DLS word path (has_word = 0 when the engine has none). */
+    int has_word;
+    PyObject *w_engine;          /* strong: energy/miss_stats read at fold */
+    PyObject *w_mesh;            /* strong: the network's MeshKernel */
+    PyObject *w_network;         /* strong: traffic counters folded here */
+    PyObject *w_paths;           /* strong: network.paths route memo */
+    PyObject *w_pages;           /* strong: page table {page: (kind, owner)} */
+    PyObject *w_private;         /* strong: PageKind.PRIVATE */
+    PyObject *w_shared;          /* strong: PageKind.SHARED */
+    PyObject *w_slices;          /* strong: per-tile L2Slice objects */
+    PyObject *w_stores;          /* strong: per-tile L2 SetAssocCache */
+    PyObject *w_sets;            /* strong: per-tile store._sets lists */
+    PyObject *w_history;         /* strong: per-core history-flag dicts */
+    PyObject *w_line_type;       /* strong: L2Line */
+    long long w_page_size;
+    long long w_words_per_line;
+    long long w_set_mask;
+    double w_l2_latency;
+    long long w_flits[4];        /* READ_REQ, WRITE_REQ, WORD_REPLY, ACK */
+    Py_ssize_t off_l2_last_use, off_l2_last_access, off_l2_dirty;
+    Py_ssize_t off_l2_dirty_words, off_l2_busy;
+    /* Natively accumulated counters, folded in by finish(). */
+    long long *w_slice_hits;
+    long long *w_slice_reads;
+    long long *w_slice_writes;
+    long long w_miss[K_MISS_TYPES];
+    long long w_messages, w_flits_sent, w_link_traversals;
+
+    /* Retirements and exits by reason (telemetry; RunStats-neutral). */
+    long long word_r, word_w;    /* records retired by the word path */
+    long long exits_access;      /* records handed to engine.access */
+    long long exits_sync;        /* sync records returned to Python */
 } SchedObject;
 
 #define SLOT(obj, off) ((PyObject **)((char *)(obj) + (off)))
@@ -494,6 +563,359 @@ slot_double(SchedObject *k, PyObject *obj, Py_ssize_t off, double *out)
 }
 
 /* ------------------------------------------------------------------ */
+/* Native shapes: the Neat read-hit gate and the DLS word path         */
+/* ------------------------------------------------------------------ */
+
+/* NeatEngine.access's validity test for a resident read:
+ * `copy_version[core].get(line) == line_version.get(line, 0)`.
+ * Returns 1 (fresh: a hit), 0 (stale or untracked), -1 on error. */
+static int
+neat_copy_fresh(SchedObject *k, long long core, long long line)
+{
+    PyObject *copies = PyList_GET_ITEM(k->v_copies, (Py_ssize_t)core);
+    if (!PyDict_Check(copies)) {
+        PyErr_SetString(PyExc_TypeError, "copy versions must be dicts");
+        return -1;
+    }
+    PyObject *key = PyLong_FromLongLong(line);
+    if (key == NULL) {
+        return -1;
+    }
+    PyObject *copy = PyDict_GetItemWithError(copies, key);
+    PyObject *current = NULL;
+    if (copy != NULL) {
+        current = PyDict_GetItemWithError(k->v_lines, key);
+    }
+    Py_DECREF(key);
+    if (PyErr_Occurred()) {
+        return -1;
+    }
+    if (copy == NULL) {
+        return 0;
+    }
+    long long have = PyLong_AsLongLong(copy);
+    if (have == -1 && PyErr_Occurred()) {
+        return -1;
+    }
+    long long want = 0;
+    if (current != NULL) {
+        want = PyLong_AsLongLong(current);
+        if (want == -1 && PyErr_Occurred()) {
+            return -1;
+        }
+    }
+    return have == want;
+}
+
+/* Read a (hops, handle) route descriptor; 0 = unresolved (decline). */
+static int
+route_of(PyObject *path, long long *hops, Py_ssize_t *handle)
+{
+    if (!PyTuple_Check(path) || PyTuple_GET_SIZE(path) < 5) {
+        return 0;
+    }
+    *hops = PyLong_AsLongLong(PyTuple_GET_ITEM(path, 1));
+    *handle = PyLong_AsSsize_t(PyTuple_GET_ITEM(path, 4));
+    if (PyErr_Occurred()) {
+        return -1;
+    }
+    return 1;
+}
+
+/* One message leg, as MeshNetwork.traverse_path with the compiled kernel:
+ * an empty route arrives instantly and is not counted. */
+static int
+word_leg(SchedObject *k, long long hops, Py_ssize_t handle, double t_head,
+         long long flits, double *tail)
+{
+    if (hops == 0) {
+        *tail = t_head;
+        return 0;
+    }
+    k->w_link_traversals += flits * hops;
+    k->w_messages += 1;
+    k->w_flits_sent += flits;
+    return repro_mesh_traverse(k->w_mesh, handle, t_head, flits, tail);
+}
+
+static int
+set_slot(PyObject *obj, Py_ssize_t off, PyObject *value)
+{
+    if (value == NULL) {
+        return -1;
+    }
+    Py_XSETREF(*SLOT(obj, off), value);
+    return 0;
+}
+
+/* The resident branch of DLSEngine.access, in the same order.  Returns 1
+ * when the record retired (latency and L2 waiting time in the out
+ * parameters), 0 when it must go to access() untouched, -1 on error.
+ * Every decline happens before the first side effect. */
+static int
+word_access(SchedObject *k, long long core, int is_write, long long address,
+            double now, double *latency, double *l2_waiting)
+{
+    long long num_tiles = k->num_cores;
+    long long line = address >> K_LINE_BITS;
+    long long word = (address >> K_WORD_BITS) & (k->w_words_per_line - 1);
+
+    /* Home: placement.data_word_home minus its classification effects. */
+    PyObject *page = PyLong_FromLongLong(address / k->w_page_size);
+    if (page == NULL) {
+        return -1;
+    }
+    PyObject *entry = PyDict_GetItemWithError(k->w_pages, page);
+    Py_DECREF(page);
+    if (entry == NULL || !PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 2) {
+        return PyErr_Occurred() ? -1 : 0;  /* first touch: classify */
+    }
+    PyObject *kind = PyTuple_GET_ITEM(entry, 0);
+    long long home;
+    if (kind == k->w_shared) {
+        home = (line * k->w_words_per_line + word) % num_tiles;
+    }
+    else if (kind == k->w_private) {
+        home = PyLong_AsLongLong(PyTuple_GET_ITEM(entry, 1));
+        if (home != core) {
+            /* Another core's page: transition and flush are due. */
+            return PyErr_Occurred() ? -1 : 0;
+        }
+    }
+    else {
+        return 0;  /* instruction page: access() raises */
+    }
+
+    PyObject *line_o = PyLong_FromLongLong(line);
+    if (line_o == NULL) {
+        return -1;
+    }
+    int rc = 0;
+    PyObject *sets = PyList_GET_ITEM(k->w_sets, (Py_ssize_t)home);
+    PyObject *bucket = PyList_GET_ITEM(sets, (Py_ssize_t)(line & k->w_set_mask));
+    PyObject *l2line = PyDict_GetItemWithError(bucket, line_o);
+    PyObject *hist = PyList_GET_ITEM(k->w_history, (Py_ssize_t)core);
+    long long hops1, hops2;
+    Py_ssize_t handle1, handle2;
+    if (l2line == NULL || Py_TYPE(l2line) != (PyTypeObject *)k->w_line_type
+        || !PyDict_Check(hist)) {
+        goto done;  /* L2 miss: off-chip fill */
+    }
+    rc = route_of(PyList_GET_ITEM(k->w_paths, (Py_ssize_t)(core * num_tiles + home)),
+                  &hops1, &handle1);
+    if (rc > 0) {
+        rc = route_of(PyList_GET_ITEM(k->w_paths, (Py_ssize_t)(home * num_tiles + core)),
+                      &hops2, &handle2);
+    }
+    if (rc <= 0) {
+        goto done;  /* a route is still unresolved */
+    }
+    PyObject *busy_o = *SLOT(l2line, k->off_l2_busy);
+    PyObject *mask_o = *SLOT(l2line, k->off_l2_dirty_words);
+    if (busy_o == NULL || mask_o == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "unset L2Line slot");
+        goto fail;
+    }
+    double busy = PyFloat_AsDouble(busy_o);
+    long long mask = PyLong_AsLongLong(mask_o);
+    if (PyErr_Occurred()) {
+        goto fail;
+    }
+
+    /* Retiring.  Request and reply legs: MeshNetwork.traverse_chain. */
+    double t1, reply_t;
+    if (word_leg(k, hops1, handle1, now, k->w_flits[is_write ? 1 : 0], &t1) < 0) {
+        goto fail;
+    }
+    double start = busy > t1 ? busy : t1;
+    if (word_leg(k, hops2, handle2, start + k->w_l2_latency,
+                 k->w_flits[is_write ? 3 : 2], &reply_t) < 0) {
+        goto fail;
+    }
+    double wait = 0.0;
+    double t;
+    if (busy > t1) {
+        wait = busy - t1;
+        t = busy + k->w_l2_latency;
+    }
+    else {
+        t = t1 + k->w_l2_latency;
+    }
+    k->w_slice_hits[home] += 1;
+
+    /* _word_service_bookkeeping. */
+    if (is_write) {
+        k->w_slice_writes[home] += 1;
+        if (set_slot(l2line, k->off_l2_dirty, Py_NewRef(Py_True)) < 0
+            || set_slot(l2line, k->off_l2_dirty_words,
+                        PyLong_FromLongLong(mask | (1LL << word))) < 0) {
+            goto fail;
+        }
+    }
+    else {
+        k->w_slice_reads[home] += 1;
+    }
+
+    /* History flags and miss type (_classify_miss, serviced remotely). */
+    PyObject *flags_o = PyDict_GetItemWithError(hist, line_o);
+    long long flags = flags_o == NULL ? 0 : PyLong_AsLongLong(flags_o);
+    if (PyErr_Occurred()) {
+        goto fail;
+    }
+    if (flags & K_EVER_REMOTE) {
+        k->w_miss[K_MISS_WORD] += 1;
+    }
+    else {
+        if (!(flags & K_EVER_CACHED)) {
+            k->w_miss[K_MISS_COLD] += 1;
+        }
+        else if (flags & K_LAST_REMOVAL_INVAL) {
+            k->w_miss[K_MISS_SHARING] += 1;
+        }
+        else {
+            k->w_miss[K_MISS_CAPACITY] += 1;
+        }
+        PyObject *nf = PyLong_FromLongLong(flags | K_EVER_REMOTE);
+        int set = nf == NULL ? -1 : PyDict_SetItem(hist, line_o, nf);
+        Py_XDECREF(nf);
+        if (set < 0) {
+            goto fail;
+        }
+    }
+
+    /* Settle timing: writes serialize, word reads pipeline. */
+    double settle = is_write ? t : t - k->w_l2_latency + 1.0;
+    if ((is_write || settle > busy)
+        && set_slot(l2line, k->off_l2_busy, PyFloat_FromDouble(settle)) < 0) {
+        goto fail;
+    }
+
+    /* slice_.touch(l2line, t): the L2 LRU counter is read and written
+     * now - engine-side victim choice depends on it. */
+    PyObject *store = PyList_GET_ITEM(k->w_stores, (Py_ssize_t)home);
+    PyObject *cur = PyObject_GetAttr(store, k->str_use_counter);
+    long long counter = cur == NULL ? -1 : PyLong_AsLongLong(cur);
+    Py_XDECREF(cur);
+    PyObject *nv = PyErr_Occurred() ? NULL : PyLong_FromLongLong(counter + 1);
+    if (nv == NULL || PyObject_SetAttr(store, k->str_use_counter, nv) < 0) {
+        Py_XDECREF(nv);
+        goto fail;
+    }
+    if (set_slot(l2line, k->off_l2_last_use, nv) < 0
+        || set_slot(l2line, k->off_l2_last_access, PyFloat_FromDouble(t)) < 0) {
+        goto fail;
+    }
+
+    *latency = reply_t - now;
+    *l2_waiting = wait;
+    if (is_write) {
+        k->word_w += 1;
+    }
+    else {
+        k->word_r += 1;
+    }
+    rc = 1;
+    goto done;
+fail:
+    rc = -1;
+done:
+    Py_DECREF(line_o);
+    if (rc == 0 && PyErr_Occurred()) {
+        rc = -1;
+    }
+    return rc;
+}
+
+/* obj.name += delta for an int attribute (the finish()-time fold). */
+static int
+add_attr(PyObject *obj, const char *name, long long delta)
+{
+    if (delta == 0) {
+        return 0;
+    }
+    PyObject *cur = PyObject_GetAttrString(obj, name);
+    if (cur == NULL) {
+        return -1;
+    }
+    PyObject *d = PyLong_FromLongLong(delta);
+    PyObject *sum = d == NULL ? NULL : PyNumber_Add(cur, d);
+    Py_DECREF(cur);
+    Py_XDECREF(d);
+    if (sum == NULL) {
+        return -1;
+    }
+    int rc = PyObject_SetAttrString(obj, name, sum);
+    Py_DECREF(sum);
+    return rc;
+}
+
+/* Fold the word path's order-independent counters into the engine's
+ * Python objects (integer sums, so the point of folding cannot change a
+ * result).  The energy and miss-stat objects are read here, not at
+ * construction: reset_stats replaces them between passes. */
+static int
+fold_word_counters(SchedObject *k)
+{
+    if (!k->has_word) {
+        return 0;
+    }
+    long long words = k->word_r + k->word_w;
+    PyObject *energy = PyObject_GetAttrString(k->w_engine, "energy");
+    if (energy == NULL) {
+        return -1;
+    }
+    int rc = add_attr(energy, "l1d_tag_accesses", words) < 0
+             || add_attr(energy, "l2_tag_accesses", words) < 0
+             || add_attr(energy, "l2_word_reads", k->word_r) < 0
+             || add_attr(energy, "l2_word_writes", k->word_w) < 0;
+    Py_DECREF(energy);
+    if (rc) {
+        return -1;
+    }
+    PyObject *miss = PyObject_GetAttrString(k->w_engine, "miss_stats");
+    PyObject *counts = miss == NULL ? NULL : PyObject_GetAttrString(miss, "_miss_counts");
+    Py_XDECREF(miss);
+    if (counts == NULL) {
+        return -1;
+    }
+    for (Py_ssize_t m = 0; m < K_MISS_TYPES; m++) {
+        if (k->w_miss[m] == 0) {
+            continue;
+        }
+        PyObject *cur = PySequence_GetItem(counts, m);
+        PyObject *d = PyLong_FromLongLong(k->w_miss[m]);
+        PyObject *sum = (cur == NULL || d == NULL) ? NULL : PyNumber_Add(cur, d);
+        Py_XDECREF(cur);
+        Py_XDECREF(d);
+        if (sum == NULL || PySequence_SetItem(counts, m, sum) < 0) {
+            Py_XDECREF(sum);
+            Py_DECREF(counts);
+            return -1;
+        }
+        Py_DECREF(sum);
+        k->w_miss[m] = 0;
+    }
+    Py_DECREF(counts);
+    for (long long h = 0; h < k->num_cores; h++) {
+        PyObject *slice = PyList_GET_ITEM(k->w_slices, (Py_ssize_t)h);
+        if (add_attr(slice, "hits", k->w_slice_hits[h]) < 0
+            || add_attr(slice, "word_reads", k->w_slice_reads[h]) < 0
+            || add_attr(slice, "word_writes", k->w_slice_writes[h]) < 0) {
+            return -1;
+        }
+        k->w_slice_hits[h] = k->w_slice_reads[h] = k->w_slice_writes[h] = 0;
+    }
+    if (add_attr(k->w_network, "messages_sent", k->w_messages) < 0
+        || add_attr(k->w_network, "flits_sent", k->w_flits_sent) < 0
+        || add_attr(k->w_network, "link_flit_traversals", k->w_link_traversals) < 0) {
+        return -1;
+    }
+    k->w_messages = k->w_flits_sent = k->w_link_traversals = 0;
+    k->has_word = 0;  /* folded once; the kernel is done */
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
 /* Construction                                                        */
 /* ------------------------------------------------------------------ */
 
@@ -548,6 +970,9 @@ Sched_dealloc(SchedObject *k)
     PyMem_Free(k->map);
     PyMem_Free(k->dirty);
     PyMem_Free(k->stores);
+    PyMem_Free(k->w_slice_hits);
+    PyMem_Free(k->w_slice_reads);
+    PyMem_Free(k->w_slice_writes);
     if (k->core_objs != NULL) {
         for (long long c = 0; c < k->num_cores; c++) {
             Py_XDECREF(k->core_objs[c]);
@@ -559,6 +984,20 @@ Sched_dealloc(SchedObject *k)
     Py_XDECREF(k->exclusive_obj);
     Py_XDECREF(k->modified_obj);
     Py_XDECREF(k->str_use_counter);
+    Py_XDECREF(k->v_copies);
+    Py_XDECREF(k->v_lines);
+    Py_XDECREF(k->w_engine);
+    Py_XDECREF(k->w_mesh);
+    Py_XDECREF(k->w_network);
+    Py_XDECREF(k->w_paths);
+    Py_XDECREF(k->w_pages);
+    Py_XDECREF(k->w_private);
+    Py_XDECREF(k->w_shared);
+    Py_XDECREF(k->w_slices);
+    Py_XDECREF(k->w_stores);
+    Py_XDECREF(k->w_sets);
+    Py_XDECREF(k->w_history);
+    Py_XDECREF(k->w_line_type);
     Py_TYPE(k)->tp_free((PyObject *)k);
 }
 
@@ -597,19 +1036,179 @@ adopt_columns(SchedObject *k, PyObject *cols, const long long **ptrs,
     return 0;
 }
 
+/* Borrowed descriptor field; NULL with ValueError when missing. */
+static PyObject *
+desc_get(PyObject *desc, const char *name)
+{
+    PyObject *v = PyDict_GetItemString(desc, name);
+    if (v == NULL && !PyErr_Occurred()) {
+        PyErr_Format(PyExc_ValueError, "descriptor missing %s", name);
+    }
+    return v;
+}
+
+static int
+desc_ll(PyObject *desc, const char *name, long long *out)
+{
+    PyObject *v = desc_get(desc, name);
+    if (v == NULL) {
+        return -1;
+    }
+    *out = PyLong_AsLongLong(v);
+    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+}
+
+/* A list field of exactly `len` items, held strongly in *slot. */
+static int
+desc_list(PyObject *desc, const char *name, Py_ssize_t len, PyObject **slot)
+{
+    PyObject *v = desc_get(desc, name);
+    if (v == NULL) {
+        return -1;
+    }
+    if (!PyList_Check(v) || PyList_GET_SIZE(v) != len) {
+        PyErr_Format(PyExc_ValueError, "descriptor %s must be a list of %zd",
+                     name, len);
+        return -1;
+    }
+    *slot = Py_NewRef(v);
+    return 0;
+}
+
+/* Neat read-hit gate: versions = (per-core copy-version dicts, the
+ * line-version dict), or None. */
+static int
+adopt_versions(SchedObject *k, PyObject *fast)
+{
+    PyObject *versions = PyDict_GetItemString(fast, "versions");
+    if (versions == NULL || versions == Py_None) {
+        return PyErr_Occurred() ? -1 : 0;
+    }
+    if (!PyTuple_Check(versions) || PyTuple_GET_SIZE(versions) != 2
+        || !PyList_Check(PyTuple_GET_ITEM(versions, 0))
+        || PyList_GET_SIZE(PyTuple_GET_ITEM(versions, 0)) != k->num_cores
+        || !PyDict_Check(PyTuple_GET_ITEM(versions, 1))) {
+        PyErr_SetString(PyExc_ValueError,
+                        "versions must be (per-core dict list, dict)");
+        return -1;
+    }
+    k->v_copies = Py_NewRef(PyTuple_GET_ITEM(versions, 0));
+    k->v_lines = Py_NewRef(PyTuple_GET_ITEM(versions, 1));
+    return 0;
+}
+
+/* DLS word-path descriptor (DLSEngine.scheduler_word_path). */
+static int
+adopt_word_path(SchedObject *k, PyObject *word)
+{
+    if (!PyDict_Check(word)) {
+        PyErr_SetString(PyExc_TypeError, "word-path descriptor must be a dict");
+        return -1;
+    }
+    Py_ssize_t tiles = (Py_ssize_t)k->num_cores;
+    PyObject *engine = desc_get(word, "engine");
+    PyObject *mesh = desc_get(word, "mesh");
+    PyObject *network = desc_get(word, "network");
+    PyObject *pages = desc_get(word, "pages");
+    PyObject *private_ = desc_get(word, "private");
+    PyObject *shared = desc_get(word, "shared");
+    PyObject *line_type = desc_get(word, "line_type");
+    PyObject *flits = desc_get(word, "flits");
+    if (engine == NULL || mesh == NULL || network == NULL || pages == NULL
+        || private_ == NULL || shared == NULL || line_type == NULL
+        || flits == NULL) {
+        return -1;
+    }
+    if (!repro_mesh_check(mesh) || !PyDict_Check(pages)
+        || !PyType_Check(line_type) || !PyTuple_Check(flits)
+        || PyTuple_GET_SIZE(flits) != 4) {
+        PyErr_SetString(PyExc_TypeError, "malformed word-path descriptor");
+        return -1;
+    }
+    long long num_tiles, l2_latency;
+    if (desc_ll(word, "num_tiles", &num_tiles) < 0
+        || desc_ll(word, "page_size", &k->w_page_size) < 0
+        || desc_ll(word, "words_per_line", &k->w_words_per_line) < 0
+        || desc_ll(word, "set_mask", &k->w_set_mask) < 0
+        || desc_ll(word, "l2_latency", &l2_latency) < 0) {
+        return -1;
+    }
+    if (num_tiles != k->num_cores || k->w_page_size <= 0
+        || k->w_words_per_line <= 0 || k->w_set_mask < 0) {
+        PyErr_SetString(PyExc_ValueError, "word-path geometry mismatch");
+        return -1;
+    }
+    k->w_l2_latency = (double)l2_latency;
+    for (Py_ssize_t f = 0; f < 4; f++) {
+        k->w_flits[f] = PyLong_AsLongLong(PyTuple_GET_ITEM(flits, f));
+        if (k->w_flits[f] == -1 && PyErr_Occurred()) {
+            return -1;
+        }
+    }
+    k->w_engine = Py_NewRef(engine);
+    k->w_mesh = Py_NewRef(mesh);
+    k->w_network = Py_NewRef(network);
+    k->w_pages = Py_NewRef(pages);
+    k->w_private = Py_NewRef(private_);
+    k->w_shared = Py_NewRef(shared);
+    k->w_line_type = Py_NewRef(line_type);
+    if (desc_list(word, "paths", tiles * tiles, &k->w_paths) < 0
+        || desc_list(word, "slices", tiles, &k->w_slices) < 0
+        || desc_list(word, "stores", tiles, &k->w_stores) < 0
+        || desc_list(word, "sets", tiles, &k->w_sets) < 0
+        || desc_list(word, "history", tiles, &k->w_history) < 0) {
+        return -1;
+    }
+    /* Set lists never resize and set buckets are always dicts, so the
+     * per-record index needs no bounds check after this one. */
+    for (Py_ssize_t h = 0; h < tiles; h++) {
+        PyObject *sets = PyList_GET_ITEM(k->w_sets, h);
+        if (!PyList_Check(sets) || PyList_GET_SIZE(sets) != k->w_set_mask + 1) {
+            PyErr_SetString(PyExc_ValueError, "L2 set list size mismatch");
+            return -1;
+        }
+        for (Py_ssize_t i = 0; i < PyList_GET_SIZE(sets); i++) {
+            if (!PyDict_Check(PyList_GET_ITEM(sets, i))) {
+                PyErr_SetString(PyExc_TypeError, "set bucket must be a dict");
+                return -1;
+            }
+        }
+    }
+    k->off_l2_last_use = member_offset(line_type, "last_use");
+    k->off_l2_last_access = member_offset(line_type, "last_access");
+    k->off_l2_dirty = member_offset(line_type, "dirty");
+    k->off_l2_dirty_words = member_offset(line_type, "dirty_words");
+    k->off_l2_busy = member_offset(line_type, "busy_until");
+    if (k->off_l2_last_use < 0 || k->off_l2_last_access < 0
+        || k->off_l2_dirty < 0 || k->off_l2_dirty_words < 0
+        || k->off_l2_busy < 0) {
+        return -1;
+    }
+    k->w_slice_hits = PyMem_Calloc((size_t)tiles, sizeof(long long));
+    k->w_slice_reads = PyMem_Calloc((size_t)tiles, sizeof(long long));
+    k->w_slice_writes = PyMem_Calloc((size_t)tiles, sizeof(long long));
+    if (k->w_slice_hits == NULL || k->w_slice_reads == NULL
+        || k->w_slice_writes == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    k->has_word = 1;
+    return 0;
+}
+
 static PyObject *
 Sched_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
     PyObject *ops_cols, *addr_cols, *work_cols, *start_clocks;
     double l1_hit_latency;
-    PyObject *access, *result_type, *fast;
+    PyObject *access, *result_type, *fast, *word;
     if (kwds != NULL && PyDict_GET_SIZE(kwds) != 0) {
         PyErr_SetString(PyExc_TypeError, "SchedKernel takes no keyword arguments");
         return NULL;
     }
-    if (!PyArg_ParseTuple(args, "OOOOdOOO", &ops_cols, &addr_cols, &work_cols,
+    if (!PyArg_ParseTuple(args, "OOOOdOOOO", &ops_cols, &addr_cols, &work_cols,
                           &start_clocks, &l1_hit_latency, &access,
-                          &result_type, &fast)) {
+                          &result_type, &fast, &word)) {
         return NULL;
     }
     SchedObject *k = (SchedObject *)type->tp_alloc(type, 0);
@@ -804,7 +1403,15 @@ Sched_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
             }
             Py_DECREF(sets);
         }
+        if (adopt_versions(k, fast) < 0) {
+            Py_DECREF(k);
+            return NULL;
+        }
         k->has_fast = 1;
+    }
+    if (word != Py_None && adopt_word_path(k, word) < 0) {
+        Py_DECREF(k);
+        return NULL;
     }
 
     for (long long c = 0; c < k->num_cores; c++) {
@@ -859,11 +1466,40 @@ Sched_run(SchedObject *k, PyObject *Py_UNUSED(ignored))
                          * probe (never cached: the engine rewrites it
                          * during misses).  Resident lines are S/E/M, so
                          * identity against the E and M members is exactly
-                         * `state >= EXCLUSIVE`. */
+                         * `state >= EXCLUSIVE`.  Under the Neat gate no
+                         * write retires natively. */
                         PyObject *st = *SLOT(cell->entry, k->off_state);
-                        if (st != k->exclusive_obj && st != k->modified_obj) {
+                        if (k->v_lines != NULL
+                            || (st != k->exclusive_obj && st != k->modified_obj)) {
                             cell = NULL;
                         }
+                    }
+                    else if (cell != NULL && k->v_lines != NULL) {
+                        int fresh = neat_copy_fresh(k, core, line);
+                        if (fresh < 0) {
+                            return NULL;
+                        }
+                        if (!fresh) {
+                            cell = NULL;  /* stale: access() self-invalidates */
+                        }
+                    }
+                }
+                int retired = 0;
+                if (cell == NULL && k->has_word) {
+                    double latency, wait;
+                    retired = word_access(k, core, op == K_OP_WRITE, address,
+                                          t, &latency, &wait);
+                    if (retired < 0) {
+                        return NULL;
+                    }
+                    if (retired) {
+                        /* AccessResult.l1_to_l2 (l2_offchip is 0.0) and the
+                         * scheduler's accumulation, in the same order. */
+                        k->bd_l1_to_l2[core] += latency - wait - 0.0;
+                        k->bd_l2_waiting[core] += wait;
+                        k->bd_l2_sharers[core] += 0.0;
+                        k->bd_l2_offchip[core] += 0.0;
+                        t += latency;
                     }
                 }
                 if (cell != NULL) {
@@ -883,7 +1519,7 @@ Sched_run(SchedObject *k, PyObject *Py_UNUSED(ignored))
                         k->hits_r[core] += 1;
                     }
                 }
-                else {
+                else if (!retired) {
                     /* Cold: hand the reference engine the exact state the
                      * pure-Python loop would (flush first), then absorb
                      * the miss result natively. */
@@ -894,6 +1530,7 @@ Sched_run(SchedObject *k, PyObject *Py_UNUSED(ignored))
                     if (flush_dirty(k) < 0) {
                         return NULL;
                     }
+                    k->exits_access += 1;
                     PyObject *res =
                         call_access(k, core, op == K_OP_WRITE, address, t);
                     if (res == NULL) {
@@ -955,6 +1592,7 @@ Sched_run(SchedObject *k, PyObject *Py_UNUSED(ignored))
                 if (flush_dirty(k) < 0) {
                     return NULL;
                 }
+                k->exits_sync += 1;
                 return Py_BuildValue("(LLdLd)", op, core, now, i, acc);
             }
 
@@ -1200,7 +1838,7 @@ Sched_clocks(SchedObject *k, PyObject *Py_UNUSED(ignored))
 static PyObject *
 Sched_finish(SchedObject *k, PyObject *Py_UNUSED(ignored))
 {
-    if (flush_dirty(k) < 0) {
+    if (flush_dirty(k) < 0 || fold_word_counters(k) < 0) {
         return NULL;
     }
     PyObject *hits_r = PyList_New((Py_ssize_t)k->num_cores);
@@ -1228,7 +1866,9 @@ Sched_finish(SchedObject *k, PyObject *Py_UNUSED(ignored))
         }
         PyList_SET_ITEM(rows, (Py_ssize_t)c, row);
     }
-    PyObject *out = PyTuple_Pack(3, hits_r, hits_w, rows);
+    PyObject *out = Py_BuildValue("(OOO(LLLL))", hits_r, hits_w, rows,
+                                  k->word_r, k->word_w, k->exits_access,
+                                  k->exits_sync);
     Py_DECREF(hits_r);
     Py_DECREF(hits_w);
     Py_DECREF(rows);
@@ -1267,8 +1907,10 @@ static PyMethodDef Sched_methods[] = {
     {"clocks", (PyCFunction)Sched_clocks, METH_NOARGS,
      "Final per-core clocks as a list of floats."},
     {"finish", (PyCFunction)Sched_finish, METH_NOARGS,
-     "Flush deferred state; return (hits_r, hits_w, per-core breakdown "
-     "rows (compute, l1_to_l2, l2_waiting, l2_sharers, l2_offchip))."},
+     "Flush deferred state and fold the word path's counters; return "
+     "(hits_r, hits_w, per-core breakdown rows (compute, l1_to_l2, "
+     "l2_waiting, l2_sharers, l2_offchip), (word_reads, word_writes, "
+     "access_exits, sync_exits))."},
     {"stats", (PyCFunction)Sched_stats, METH_NOARGS,
      "Introspection counters (tests only)."},
     {NULL, NULL, 0, NULL},
@@ -1299,6 +1941,16 @@ repro_sched_register(PyObject *mod)
         || PyModule_AddIntConstant(mod, "OP_UNLOCK", K_OP_UNLOCK) < 0
         || PyModule_AddIntConstant(mod, "OP_WORK", K_OP_WORK) < 0
         || PyModule_AddIntConstant(mod, "LINE_BITS", K_LINE_BITS) < 0
+        || PyModule_AddIntConstant(mod, "WORD_BITS", K_WORD_BITS) < 0
+        || PyModule_AddIntConstant(mod, "MISS_COLD", K_MISS_COLD) < 0
+        || PyModule_AddIntConstant(mod, "MISS_CAPACITY", K_MISS_CAPACITY) < 0
+        || PyModule_AddIntConstant(mod, "MISS_SHARING", K_MISS_SHARING) < 0
+        || PyModule_AddIntConstant(mod, "MISS_WORD", K_MISS_WORD) < 0
+        || PyModule_AddIntConstant(mod, "MISS_TYPES", K_MISS_TYPES) < 0
+        || PyModule_AddIntConstant(mod, "EVER_CACHED", K_EVER_CACHED) < 0
+        || PyModule_AddIntConstant(mod, "LAST_REMOVAL_INVAL",
+                                   K_LAST_REMOVAL_INVAL) < 0
+        || PyModule_AddIntConstant(mod, "EVER_REMOTE", K_EVER_REMOTE) < 0
         || PyModule_AddIntConstant(mod, "SCHED_ABI_VERSION",
                                    K_SCHED_ABI_VERSION) < 0) {
         return -1;

@@ -48,6 +48,7 @@ from repro.common.types import MESIState, MissType
 from repro.coherence.classifier.limited import make_classifier
 from repro.coherence.directory import make_sharer_policy
 from repro.energy.model import EnergyCounters
+from repro.mem.cache import CacheLine
 from repro.mem.golden import GoldenMemory
 from repro.mem.l1 import L1Cache
 from repro.mem.l2 import L2Line, L2Slice
@@ -263,13 +264,22 @@ class ProtocolEngineBase:
         ``exclusive``  minimum state for a silent write hit,
         ``modified``   the state to write on a write hit,
         ``line_type``  the entry class whose ``__slots__`` hold ``state``/
-                       ``last_use``/``last_access``/``utilization``.
+                       ``last_use``/``last_access``/``utilization``,
+        ``versions``   ``None``, or Neat's read-hit gate
+                       ``(copy_version, line_version)``: the per-core
+                       ``{line: version-at-fetch}`` dicts and the global
+                       ``{line: version}`` dict.  With a gate, a resident
+                       read is a hit only while
+                       ``copy_version[core].get(line) ==
+                       line_version.get(line, 0)`` and no write is ever
+                       serviced inline; both schedulers re-read the dicts
+                       per record.
 
         The contract is strict bit-identity: the inline path must perform
         exactly the bookkeeping ``access`` would (LRU, utilization,
         timestamp, hit/energy counters) and fall back to ``access`` for
         anything else.  Default: no fast path (miss-only families, or hit
-        handling with side effects - version checks, golden verification).
+        handling with side effects such as golden verification).
 
         C adoption and writeback (DESIGN.md sec. 14): the compiled
         scheduler kernel mirrors the per-core stores in a native
@@ -286,6 +296,43 @@ class ProtocolEngineBase:
           reads (victim choice, ``min_last_access``, purge state checks,
           utilization histograms) always observe exactly the values the
           pure-Python loop would have written.
+        """
+        return None
+
+    def _l1_fast_path(self, versions=None) -> dict:
+        """The :meth:`scheduler_fast_path` descriptor over this engine's
+        L1s, with the read-hit gate ``versions`` (see above)."""
+        store = self.l1d[0].store
+        return {
+            # All cores' set dicts in one flat list: bucket of (core, line)
+            # is ``buckets[(core << set_bits) | (line & set_mask)]`` - a
+            # single index operation per probe.  The dict objects are
+            # shared with the stores, so miss-path fills/evictions are
+            # visible here immediately.
+            "buckets": [bucket for l1 in self.l1d for bucket in l1.store._sets],
+            "set_bits": (store.num_sets - 1).bit_length(),
+            "stores": [l1.store for l1 in self.l1d],
+            "l1s": self.l1d,
+            "set_mask": store._set_mask,
+            "exclusive": MESIState.EXCLUSIVE,
+            "modified": MESIState.MODIFIED,
+            # C-adoption field (DESIGN.md sec. 14): the compiled scheduler
+            # kernel resolves CacheLine's __slots__ member offsets from
+            # this type and reads/writes entries through them directly.
+            "line_type": CacheLine,
+            "versions": versions,
+        }
+
+    def scheduler_word_path(self) -> dict | None:
+        """Opt-in native word access for the compiled scheduler kernel.
+
+        A family whose resident-line service is a fixed word round-trip
+        (DLS) may return a descriptor of the raw structures that service
+        reads - page table, L2 set dicts, route memo, history flags - and
+        the kernel then retires such records without calling
+        :meth:`access` (DESIGN.md sec. 14, "Native shapes").  Only the
+        compiled kernel consumes it; the pure-Python loop never asks.
+        Default: None.
         """
         return None
 

@@ -43,7 +43,6 @@ from repro.common import addr as addrmod
 from repro.common.errors import CoherenceError, SimulationError
 from repro.common.types import MESIState, RemovalReason, SharerMode
 from repro.coherence.directory import DirectoryEntry
-from repro.mem.cache import CacheLine
 from repro.mem.l2 import L2Line, L2Slice
 from repro.network.messages import MsgType
 from repro.protocol.base import (
@@ -135,27 +134,7 @@ class DirectoryEngine(ProtocolEngineBase):
         without calling :meth:`access`.  Verify mode checks every hit
         against the golden memory and must take the full path.
         """
-        if self.verify:
-            return None
-        store = self.l1d[0].store
-        return {
-            # All cores' set dicts in one flat list: bucket of (core, line)
-            # is ``buckets[(core << set_bits) | (line & set_mask)]`` - a
-            # single index operation per probe.  The dict objects are
-            # shared with the stores, so miss-path fills/evictions are
-            # visible here immediately.
-            "buckets": [bucket for l1 in self.l1d for bucket in l1.store._sets],
-            "set_bits": (store.num_sets - 1).bit_length(),
-            "stores": [l1.store for l1 in self.l1d],
-            "l1s": self.l1d,
-            "set_mask": store._set_mask,
-            "exclusive": _EXCLUSIVE,
-            "modified": _MODIFIED,
-            # C-adoption field (DESIGN.md sec. 14): the compiled scheduler
-            # kernel resolves CacheLine's __slots__ member offsets from
-            # this type and reads/writes entries through them directly.
-            "line_type": CacheLine,
-        }
+        return None if self.verify else self._l1_fast_path()
 
     # ------------------------------------------------------------------
     def _install_line_state(self, l2line: L2Line) -> None:

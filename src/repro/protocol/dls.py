@@ -52,7 +52,9 @@ own dirty words into the DRAM image.
 from __future__ import annotations
 
 from repro.common import addr as addrmod
+from repro.mem.l2 import L2Line
 from repro.network.messages import MsgType
+from repro.rnuca.page_table import PageKind
 from repro.protocol.base import _EVER_REMOTE, AccessResult, ProtocolEngineBase
 
 
@@ -121,6 +123,46 @@ class DLSEngine(ProtocolEngineBase):
         result.latency = reply_t - now
         result.l1_to_l2 = result.latency - result.l2_waiting - result.l2_offchip
         return result
+
+    def scheduler_word_path(self) -> dict | None:
+        """The structures the compiled scheduler kernel reads to retire
+        :meth:`access`'s resident branch natively (DESIGN.md sec. 14,
+        "Native shapes").  The kernel declines to ``access`` whenever a
+        Python-side effect could be due (unclassified page, another core's
+        private page, non-resident line, unresolved route).  Engaged only
+        without verification (golden checks and write tokens stay in
+        Python) and with the compiled mesh kernel (both legs reserve
+        through it)."""
+        network = self.network
+        if self.verify or network.implementation != "accel":
+            return None
+        flits = self._net_flits
+        store = self.l2[0].store
+        return {
+            "engine": self,
+            "mesh": network._kernel,
+            "network": network,
+            "paths": network.paths,
+            "num_tiles": self._num_tiles,
+            "flits": (
+                flits[MsgType.READ_REQ],
+                flits[MsgType.WRITE_REQ],
+                flits[MsgType.WORD_REPLY],
+                flits[MsgType.WORD_WRITE_ACK],
+            ),
+            "pages": self.placement.page_table._pages,
+            "private": PageKind.PRIVATE,
+            "shared": PageKind.SHARED,
+            "page_size": self.arch.page_size,
+            "words_per_line": self._words_per_line,
+            "l2_latency": self._l2_latency,
+            "slices": self.l2,
+            "stores": [slice_.store for slice_ in self.l2],
+            "sets": [slice_.store._sets for slice_ in self.l2],
+            "set_mask": store._set_mask,
+            "line_type": L2Line,
+            "history": self._history,
+        }
 
     # ------------------------------------------------------------------
     # Word-interleaving aware eviction and final-state observation.

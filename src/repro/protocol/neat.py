@@ -142,6 +142,17 @@ class NeatEngine(ProtocolEngineBase):
 
         return self._service_at_home(core, is_write, line, word, now)
 
+    def scheduler_fast_path(self) -> dict | None:
+        """The L1 descriptor plus the version gate of :meth:`access`'s
+        valid read hit: a resident read whose fetch version still matches
+        the line version is pure tag-side bookkeeping, so the scheduler
+        may service it inline.  Writes always call :meth:`access` (they
+        write through or buffer).  Verify mode checks every hit against
+        the golden memory and must take the full path."""
+        if self.verify:
+            return None
+        return self._l1_fast_path(versions=(self._copy_version, self._line_version))
+
     # ------------------------------------------------------------------
     def _self_invalidate(self, core: int, line: int, t: float) -> None:
         """Discard ``core``'s (stale) copy of ``line``, recording the

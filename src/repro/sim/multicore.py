@@ -69,10 +69,15 @@ class Simulator:
         self.energy_model = EnergyModel(energy if energy is not None else EnergyConfig())
         self.verify = verify
         self.warmup = warmup
-        # Scheduler fast-path hit counts of the most recent _execute pass
-        # (telemetry snapshot inputs; not part of RunStats).
+        # Records of the most recent _execute pass retired without an
+        # ``access`` call - inline L1 hits plus, on the compiled kernel,
+        # native DLS word accesses (telemetry snapshot inputs; not part of
+        # RunStats).
         self._fast_read_hits = 0
         self._fast_write_hits = 0
+        # The compiled kernel's retirements and exits by reason for the
+        # most recent pass; None after a pure-Python pass.
+        self._sched_counts: dict[str, int] | None = None
 
     # ------------------------------------------------------------------
     def run(self, trace: Trace) -> RunStats:
@@ -163,6 +168,9 @@ class Simulator:
         tel.count("sim.l1d.hits", miss.hits)
         tel.count("sim.fastpath.read_hits", self._fast_read_hits)
         tel.count("sim.fastpath.write_hits", self._fast_write_hits)
+        if self._sched_counts is not None:
+            for name, value in self._sched_counts.items():
+                tel.count(f"sched.{name}", value)
         classifier = engine.classifier
         if classifier is not None:
             tel.count("classifier.promotions", classifier.promotions)
@@ -246,6 +254,10 @@ class Simulator:
             f_mask = fast["set_mask"]
             f_exclusive = fast["exclusive"]
             f_modified = fast["modified"]
+            f_versions = fast["versions"]
+            if f_versions is not None:
+                # Neat's read-hit gate; no write is serviced inline.
+                f_copy_versions, f_line_versions = f_versions
         else:
             # No inline hit path: probe permanently-empty surrogate buckets
             # (the engine fills its own L1 structures, never these), so the
@@ -255,7 +267,7 @@ class Simulator:
             f_set_bits = 0
             f_stores = None
             f_mask = 0
-            f_exclusive = f_modified = None
+            f_exclusive = f_modified = f_versions = None
         #: Deferred hit counters, flushed into the engine's aggregate
         #: counters (plain integer sums - order-independent) at the end
         #: of this execution, keeping the per-hit work to list updates.
@@ -306,7 +318,10 @@ class Simulator:
                     i += 1
                     line = address >> line_bits
                     entry = f_buckets[core_sets | (line & f_mask)].get(line)
-                    if entry is not None:
+                    if entry is not None and (
+                        f_versions is None
+                        or f_copy_versions[core].get(line) == f_line_versions.get(line, 0)
+                    ):
                         # Inline L1 read hit: exactly the bookkeeping the
                         # engine's access() hit branch performs (the
                         # hit/energy counters are deferred, see above).
@@ -333,7 +348,7 @@ class Simulator:
                     i += 1
                     line = address >> line_bits
                     entry = f_buckets[core_sets | (line & f_mask)].get(line)
-                    if entry is not None and entry.state >= f_exclusive:
+                    if entry is not None and f_versions is None and entry.state >= f_exclusive:
                         # Inline L1 write hit (the silent E -> M upgrade).
                         store = f_stores[core]
                         counter = store._use_counter + 1
@@ -490,6 +505,7 @@ class Simulator:
         # by the telemetry snapshot (two attribute stores; no stats impact).
         self._fast_read_hits = reads
         self._fast_write_hits = writes
+        self._sched_counts = None
         return clocks
 
     # ------------------------------------------------------------------
@@ -503,8 +519,9 @@ class Simulator:
     ) -> list[float]:
         """One execution pass on the compiled scheduler kernel.
 
-        The kernel owns cursors, heap, compute accumulators and the inline
-        L1-hit path over the raw ``array('q')`` columns; this trampoline
+        The kernel owns cursors, heap, compute accumulators, the inline
+        L1-hit path and the native DLS word path over the raw
+        ``array('q')`` columns; this trampoline
         owns everything synchronization-shaped - barrier rendezvous, lock
         FIFOs, ``sync_boundary_hook`` boundaries, deadlock detection - at
         one FFI crossing per sync record.  Every arithmetic step below is
@@ -526,6 +543,7 @@ class Simulator:
             engine.access,
             AccessResult,
             fast,
+            engine.scheduler_word_path(),
         )
         stores = fast["stores"] if fast is not None else ()
         addr_cols = trace.addresses
@@ -611,7 +629,10 @@ class Simulator:
             if sync_cb is not None:
                 for core in range(num_cores):
                     sync_cb(core, clocks[core])
-            hits_r, hits_w, rows = kernel.finish()
+            # finish() also folds the word path's native counters (energy,
+            # slice, miss-type and mesh traffic sums) into the engine.
+            hits_r, hits_w, rows, native = kernel.finish()
+            word_reads, word_writes, access_exits, sync_exits = native
             for core in range(num_cores):
                 bd = breakdowns[core]
                 compute, l1_to_l2, l2_waiting, l2_sharers, l2_offchip = rows[core]
@@ -632,8 +653,14 @@ class Simulator:
                 engine.miss_stats.hits += reads + writes
                 engine.energy.l1d_reads += reads
                 engine.energy.l1d_writes += writes
-            self._fast_read_hits = reads
-            self._fast_write_hits = writes
+            self._fast_read_hits = reads + word_reads
+            self._fast_write_hits = writes + word_writes
+            self._sched_counts = {
+                "retired.l1_hit": reads + writes,
+                "retired.l2_word": word_reads + word_writes,
+                "exits.access": access_exits,
+                "exits.sync": sync_exits,
+            }
             return clocks
         finally:
             for store in stores:

@@ -8,8 +8,9 @@ where the kernel's deferred state is most at risk:
 
 * sync-heavy traces (tsp locks, radix barriers) across all four
   mesh x sched on/off combinations,
-* protocol families without a scheduler fast path (dls), where every
-  access exits to Python yet the cursor/heap walk stays native,
+* dls, which has no L1 fast path: its resident word accesses retire
+  in the kernel's native word path and every other access exits to
+  Python while the cursor/heap walk stays native,
 * verify mode, whose final-state sweep reads the caches the kernel's
   flush must have reconciled,
 * the per-kernel fault gate (``accel.build_fail`` with ``kernel="sched"``
@@ -81,8 +82,9 @@ class TestBitIdentity:
         assert all(r == runs[0] for r in runs[1:])
 
     def test_no_fast_path_family_identical(self, monkeypatch):
-        """dls publishes no scheduler fast path: the kernel still walks the
-        trace natively but calls ``access`` for every memory record."""
+        """dls publishes no L1 fast path: the kernel walks the trace
+        natively, retires resident word accesses itself and calls
+        ``access`` for the rest."""
         trace = load_workload("radix", ARCH, scale="tiny")
         on = _run(trace, dls_protocol(), monkeypatch,
                   no_mesh=False, no_sched=False)
@@ -152,14 +154,20 @@ class TestSeams:
 
     def test_fast_hit_counters_survive_kernel_path(self, monkeypatch):
         """The deferred hit counters must land in telemetry-visible form:
-        the kernel path reports the same fast-path hit totals as Python."""
+        the kernel path reports the same fast-path hit totals as Python,
+        for the directory families and for Neat's version-gated hits
+        (read hits only: no Neat write is serviced inline)."""
         trace = load_workload("tsp", ARCH, scale="tiny")
-        sim_on = Simulator(ARCH, baseline_protocol(), warmup=True)
-        monkeypatch.delenv(accel.NO_ACCEL_SCHED_ENV, raising=False)
-        sim_on.run(trace)
-        on = (sim_on._fast_read_hits, sim_on._fast_write_hits)
-        monkeypatch.setenv(accel.NO_ACCEL_SCHED_ENV, "1")
-        sim_off = Simulator(ARCH, baseline_protocol(), warmup=True)
-        sim_off.run(trace)
-        assert on == (sim_off._fast_read_hits, sim_off._fast_write_hits)
-        assert on[0] > 0
+        for proto in (baseline_protocol(), neat_protocol("eager"), neat_protocol("release")):
+            sim_on = Simulator(ARCH, proto, warmup=True)
+            monkeypatch.delenv(accel.NO_ACCEL_SCHED_ENV, raising=False)
+            sim_on.run(trace)
+            on = (sim_on._fast_read_hits, sim_on._fast_write_hits)
+            monkeypatch.setenv(accel.NO_ACCEL_SCHED_ENV, "1")
+            sim_off = Simulator(ARCH, proto, warmup=True)
+            sim_off.run(trace)
+            assert on == (sim_off._fast_read_hits, sim_off._fast_write_hits), proto
+            assert on[0] > 0
+            assert sim_on._sched_counts["retired.l1_hit"] == sum(on)
+            if proto.protocol == "neat":
+                assert on[1] == 0

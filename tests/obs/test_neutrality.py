@@ -14,6 +14,7 @@ import json
 
 import pytest
 
+from repro import accel
 from repro.obs import TELEMETRY
 from repro.runner.backends.local import execute_job
 from repro.runner.sweep import grid_from_args
@@ -63,6 +64,43 @@ def test_instrumented_run_emits_spans_and_counters(tmp_path):
     assert {"sim.phase.warmup", "sim.phase.simulate"} <= spans
     assert {"sim.l1d.accesses", "sim.l1d.hits", "mesh.flits",
             "mesh.slot_recycles", "sim.fastpath.read_hits"} <= counters
+
+
+@pytest.mark.skipif(
+    accel.sched_kernel_class() is None, reason="compiled scheduler kernel unavailable"
+)
+@pytest.mark.parametrize("family", ["pct", "dls", "neat"])
+def test_sched_exit_counters_emitted_and_neutral(family, tmp_path):
+    """The compiled scheduler's retirement/exit counters are emitted per
+    run, account for every memory record of the measured pass, and leave
+    ``RunStats`` untouched."""
+    (job,) = _jobs((family,))
+    baseline = execute_job(job).to_dict()
+    sink = tmp_path / "events.jsonl"
+    TELEMETRY.enable(sink)
+    try:
+        observed = execute_job(job).to_dict()
+    finally:
+        TELEMETRY.disable()
+    assert json.dumps(observed, sort_keys=True) == json.dumps(baseline, sort_keys=True)
+    counters: dict[str, int] = {}
+    for line in sink.read_text().splitlines():
+        record = json.loads(line)
+        if record["kind"] == "counter":
+            counters[record["name"]] = counters.get(record["name"], 0) + record["value"]
+    names = ("sched.retired.l1_hit", "sched.retired.l2_word",
+             "sched.exits.access", "sched.exits.sync")
+    assert set(names) <= counters.keys()
+    retired = counters["sched.retired.l1_hit"] + counters["sched.retired.l2_word"]
+    assert retired == (counters["sim.fastpath.read_hits"]
+                       + counters["sim.fastpath.write_hits"])
+    memory_records = counters["sim.l1d.accesses"]
+    assert retired + counters["sched.exits.access"] == memory_records
+    assert counters["sched.exits.sync"] > 0
+    if family == "dls":
+        assert counters["sched.retired.l2_word"] > 0
+    else:
+        assert counters["sched.retired.l2_word"] == 0
 
 
 def test_disabled_run_touches_no_sink(tmp_path):
