@@ -1125,16 +1125,14 @@ adopt_word_path(SchedObject *k, PyObject *word)
         PyErr_SetString(PyExc_TypeError, "malformed word-path descriptor");
         return -1;
     }
-    long long num_tiles, l2_latency;
-    if (desc_ll(word, "num_tiles", &num_tiles) < 0
-        || desc_ll(word, "page_size", &k->w_page_size) < 0
+    long long l2_latency;
+    if (desc_ll(word, "page_size", &k->w_page_size) < 0
         || desc_ll(word, "words_per_line", &k->w_words_per_line) < 0
         || desc_ll(word, "set_mask", &k->w_set_mask) < 0
         || desc_ll(word, "l2_latency", &l2_latency) < 0) {
         return -1;
     }
-    if (num_tiles != k->num_cores || k->w_page_size <= 0
-        || k->w_words_per_line <= 0 || k->w_set_mask < 0) {
+    if (k->w_page_size <= 0 || k->w_words_per_line <= 0 || k->w_set_mask < 0) {
         PyErr_SetString(PyExc_ValueError, "word-path geometry mismatch");
         return -1;
     }

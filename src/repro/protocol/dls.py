@@ -143,7 +143,6 @@ class DLSEngine(ProtocolEngineBase):
             "mesh": network._kernel,
             "network": network,
             "paths": network.paths,
-            "num_tiles": self._num_tiles,
             "flits": (
                 flits[MsgType.READ_REQ],
                 flits[MsgType.WRITE_REQ],
