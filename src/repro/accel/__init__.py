@@ -8,8 +8,10 @@ classes from it:
   behind ``MeshNetwork.traverse_path``;
 * ``SchedKernel`` (phase 2): the simulator's columnar record walk -
   cursors, min-clock heap, the inline L1-hit fast path and the native
-  shapes (Neat's version-gated read hit, the DLS resident word access) -
-  behind ``Simulator._execute``.
+  shapes (Neat's version-gated read hit, the DLS resident word access).
+  ``Simulator._execute`` is the one trampoline for synchronization
+  records; it drives this class or, without it, the pure-Python twin in
+  :mod:`repro.sim.multicore`, which exports the same methods.
 
 Selection rules, per kernel and in order:
 
@@ -25,7 +27,9 @@ Selection rules, per kernel and in order:
    one warning per kernel and pins that kernel's fallback for the rest of
    the process.
 3. The pure-Python implementations are the ungated fallback either way -
-   bit-identical by the property/fixture suites, just slower.
+   bit-identical by the property/fixture suites, just slower.  For the
+   scheduler that covers the record walk only: barriers, locks, deadlock
+   detection and the counter folds are shared code.
 
 ``status()`` is the introspection payload behind ``repro accel-info``.
 """

@@ -92,15 +92,6 @@ class LocalityClassifier:
                 remote += 1
         return SharerMode.REMOTE if 2 * remote > len(entries) else SharerMode.PRIVATE
 
-    def resolve_mode(self, l2line: L2Line, core: int) -> tuple[SharerMode, CoreLocality | None]:
-        """Mode used to service a request from ``core`` plus its tracked
-        entry (None when the core is untracked and served by majority vote)."""
-        entry = self.locality_entry(l2line, core, allocate=True)
-        if entry is not None:
-            return entry.mode, entry
-        self.vote_decisions += 1
-        return self.majority_vote(l2line), None
-
     # ------------------------------------------------------------------
     # Remote access bookkeeping (promotion side).
     # ------------------------------------------------------------------

@@ -277,9 +277,10 @@ class DirectoryEngine(ProtocolEngineBase):
     ) -> tuple[bool, bool]:
         """Decide how to service this requester: the one per-family step
         of the miss path (PhaseEngine overrides it with its phase policy).
-        Here the locality classifier decides (classifier.resolve_mode
-        inlined, including the tracked-entry probe of
-        LimitedClassifier.locality_entry - one dict get).
+        Here the locality classifier decides: the requester's tracked
+        entry (probed inline first - one dict get - before
+        ``classifier.locality_entry`` allocates), else the classifier's
+        majority vote over the tracked entries.
 
         Touches no network or timing state, so it runs identically before
         the request departs (chained shape, which needs the reply type up
@@ -299,16 +300,9 @@ class DirectoryEngine(ProtocolEngineBase):
             if centry is not None:
                 mode = centry.mode
             else:
-                # Untracked and untrackable (Limited_k, all slots active):
-                # majority vote, inlined over the same live entry dict that
-                # tracked_entries() would expose.
+                # Untracked and untrackable (Limited_k, all slots active).
                 classifier.vote_decisions += 1
-                tracked = remote_votes = 0
-                for e in entries.values():
-                    tracked += 1
-                    if e.mode is _REMOTE_MODE:
-                        remote_votes += 1
-                mode = _REMOTE_MODE if 2 * remote_votes > tracked else _PRIVATE_MODE
+                mode = classifier.majority_vote(l2line)
 
         if upgrade and mode is _REMOTE_MODE:
             # Rare: the classifier lost this core's slot and votes remote

@@ -19,6 +19,12 @@ Synchronization (the "Synchronization" stack of Figure 9):
   order, so a blocked core parks in the lock queue and is released by the
   unlocking core.
 
+Structure: a scheduler kernel walks the records - the compiled
+``SchedKernel`` (:mod:`repro.accel`) or its pure-Python twin
+``_PySchedKernel`` - and returns every synchronization record to one
+trampoline, ``Simulator._execute``, which applies the rules above for
+both.
+
 With ``warmup=True`` the trace is executed twice over the same engine and
 only the second execution is measured - the standard warmup/measurement
 methodology.  Short synthetic traces are otherwise dominated by the initial
@@ -75,8 +81,8 @@ class Simulator:
         # RunStats).
         self._fast_read_hits = 0
         self._fast_write_hits = 0
-        # The compiled kernel's retirements and exits by reason for the
-        # most recent pass; None after a pure-Python pass.
+        # The scheduler kernel's retirements and exits by reason for the
+        # most recent pass (either kernel; None before the first).
         self._sched_counts: dict[str, int] | None = None
 
     # ------------------------------------------------------------------
@@ -196,344 +202,26 @@ class Simulator:
     ) -> list[float]:
         """Run every core through its stream once; return final clocks.
 
-        This is the simulator's hottest loop.  It walks the trace's
-        columnar IR directly (one ``array('q')`` triple per core, a cursor
-        each) instead of unpacking record tuples, and it schedules with a
-        single ``heappushpop`` per record - one sift instead of the
-        pop-then-push pair of the record-at-a-time interpreter.  When the
-        executing core remains the min-clock choice, ``heappushpop``
-        returns its own entry untouched and the core keeps running without
-        any heap movement.  All transformations preserve the exact
-        min-clock schedule - ``(t, core)`` tuple order is the heap order -
-        so the produced statistics are bit-identical to the interpreter
-        this replaces.
-
-        With the compiled scheduler kernel available (accelerator phase 2,
-        DESIGN.md sec. 14) the walk below runs natively instead, exiting
-        to :meth:`_execute_kernel`'s trampoline only on synchronization
-        records; this pure-Python loop stays the ungated, bit-identical
-        reference (``REPRO_NO_ACCEL``/``REPRO_NO_ACCEL_SCHED`` force it).
+        A scheduler kernel walks the records: the compiled ``SchedKernel``
+        when ``accel.sched_kernel_class()`` provides one (DESIGN.md sec.
+        14), else its pure-Python twin :class:`_PySchedKernel`
+        (``REPRO_NO_ACCEL``/``REPRO_NO_ACCEL_SCHED`` force the twin).
+        Either one returns each synchronization record to this trampoline
+        before processing it.  The trampoline owns everything
+        synchronization-shaped - barrier rendezvous, lock FIFOs,
+        ``sync_boundary_hook`` boundaries, deadlock detection - and folds
+        the kernel's hit counts and latency rows into the engine and the
+        breakdowns, so each of these rules exists once for both kernels.
         """
-        kernel_cls = accel.sched_kernel_class()
-        if kernel_cls is not None:
-            return self._execute_kernel(
-                kernel_cls, engine, trace, start_clocks, breakdowns
-            )
         arch = self.arch
         num_cores = arch.num_cores
-        # Materialized list views of the columnar IR: indexing an
-        # ``array('q')`` boxes a fresh int object per read, while a list
-        # returns the already-boxed object.  One bulk conversion per
-        # execution buys back three boxings per record in the loop below.
-        ops_cols = [list(col) for col in trace.ops]
-        addr_cols = [list(col) for col in trace.addresses]
-        work_cols = [list(col) for col in trace.works]
-        lengths = [len(col) for col in ops_cols]
-        indices = [0] * num_cores
-        clocks = list(start_clocks)
-        l1_hit_latency = float(arch.l1d.latency)
         barrier_latency = arch.barrier_latency
         lock_latency = arch.lock_latency
-        access = engine.access
         #: Release-boundary callback (Neat self-downgrade batching): only
-        #: consulted at unlock/barrier/end-of-trace, so families without
-        #: one (the default None) add a single is-not-None test to those
-        #: rare opcodes and nothing to the record loop.
-        sync_cb = engine.sync_boundary_hook()
-        heappush, heappop = heapq.heappush, heapq.heappop
-        heappushpop = heapq.heappushpop
-
-        # Inline L1-hit fast path (see ProtocolEngineBase.scheduler_fast_path):
-        # families with bookkeeping-only hits let the scheduler service them
-        # without an ``access`` call.  Hoisted to locals once per execution.
-        fast = engine.scheduler_fast_path()
-        if fast is not None:
-            f_buckets = fast["buckets"]
-            f_set_bits = fast["set_bits"]
-            f_stores = fast["stores"]
-            f_mask = fast["set_mask"]
-            f_exclusive = fast["exclusive"]
-            f_modified = fast["modified"]
-            f_versions = fast["versions"]
-            if f_versions is not None:
-                # Neat's read-hit gate; no write is serviced inline.
-                f_copy_versions, f_line_versions = f_versions
-        else:
-            # No inline hit path: probe permanently-empty surrogate buckets
-            # (the engine fills its own L1 structures, never these), so the
-            # record loop needs no per-record "is there a fast path?" check
-            # - every probe misses and every access takes the full path.
-            f_buckets = [{}] * num_cores
-            f_set_bits = 0
-            f_stores = None
-            f_mask = 0
-            f_exclusive = f_modified = f_versions = None
-        #: Deferred hit counters, flushed into the engine's aggregate
-        #: counters (plain integer sums - order-independent) at the end
-        #: of this execution, keeping the per-hit work to list updates.
-        hits_r = [0] * num_cores
-        hits_w = [0] * num_cores
-        line_bits = addrmod.LINE_BITS
-
-        ready: list[tuple[float, int]] = [
-            (clocks[core], core) for core in range(num_cores) if lengths[core]
-        ]
-        heapq.heapify(ready)
-        blocked = 0  # cores parked at barriers or lock queues
-
-        #: Per-core compute-cycle accumulator, flushed into the breakdowns
-        #: at the end: a local float add per record instead of an attribute
-        #: round-trip.  Addition order per core is unchanged, and the final
-        #: flush adds to a zero field, so the result is bit-identical.
-        compute = [0.0] * num_cores
-
-        barrier_waiters: dict[int, list[tuple[int, float]]] = {}
-        locks: dict[int, _LockState] = {}
-
-        op_read, op_write = int(Op.READ), int(Op.WRITE)
-        op_barrier, op_lock, op_unlock = int(Op.BARRIER), int(Op.LOCK), int(Op.UNLOCK)
-
-        if ready:
-            now, core = heappop(ready)
-        else:
-            core = -1
-        while core >= 0:
-            ops = ops_cols[core]
-            addresses = addr_cols[core]
-            works = work_cols[core]
-            n = lengths[core]
-            i = indices[core]
-            bd = breakdowns[core]
-            acc = compute[core]
-            core_sets = core << f_set_bits
-            while True:
-                op = ops[i]
-                work = works[i]
-
-                if op == op_read:
-                    work += l1_hit_latency
-                    acc += work
-                    t = now + work
-                    address = addresses[i]
-                    i += 1
-                    line = address >> line_bits
-                    entry = f_buckets[core_sets | (line & f_mask)].get(line)
-                    if entry is not None and (
-                        f_versions is None
-                        or f_copy_versions[core].get(line) == f_line_versions.get(line, 0)
-                    ):
-                        # Inline L1 read hit: exactly the bookkeeping the
-                        # engine's access() hit branch performs (the
-                        # hit/energy counters are deferred, see above).
-                        store = f_stores[core]
-                        counter = store._use_counter + 1
-                        store._use_counter = counter
-                        entry.last_use = counter
-                        entry.utilization += 1
-                        entry.last_access = t
-                        hits_r[core] += 1
-                    else:
-                        result = access(core, False, address, t)
-                        if not result.hit:
-                            bd.l1_to_l2 += result.l1_to_l2
-                            bd.l2_waiting += result.l2_waiting
-                            bd.l2_sharers += result.l2_sharers
-                            bd.l2_offchip += result.l2_offchip
-                            t += result.latency
-                elif op == op_write:
-                    work += l1_hit_latency
-                    acc += work
-                    t = now + work
-                    address = addresses[i]
-                    i += 1
-                    line = address >> line_bits
-                    entry = f_buckets[core_sets | (line & f_mask)].get(line)
-                    if entry is not None and f_versions is None and entry.state >= f_exclusive:
-                        # Inline L1 write hit (the silent E -> M upgrade).
-                        store = f_stores[core]
-                        counter = store._use_counter + 1
-                        store._use_counter = counter
-                        entry.last_use = counter
-                        entry.utilization += 1
-                        entry.last_access = t
-                        entry.state = f_modified
-                        hits_w[core] += 1
-                    else:
-                        result = access(core, True, address, t)
-                        if not result.hit:
-                            bd.l1_to_l2 += result.l1_to_l2
-                            bd.l2_waiting += result.l2_waiting
-                            bd.l2_sharers += result.l2_sharers
-                            bd.l2_offchip += result.l2_offchip
-                            t += result.latency
-                elif op == op_barrier:
-                    t = now + work
-                    i += 1
-                    if sync_cb is not None:
-                        sync_cb(core, t)  # a barrier arrival is a release
-                    indices[core] = i  # release below may re-queue this core
-                    compute[core] = acc + work
-                    address = addresses[i - 1]
-                    waiters = barrier_waiters.setdefault(address, [])
-                    waiters.append((core, t))
-                    if len(waiters) == num_cores:
-                        release = max(at for _, at in waiters) + barrier_latency
-                        for wcore, at in waiters:
-                            breakdowns[wcore].sync += release - at
-                            clocks[wcore] = release
-                            if indices[wcore] < lengths[wcore]:
-                                heappush(ready, (release, wcore))
-                        blocked -= len(waiters) - 1
-                        del barrier_waiters[address]
-                    else:
-                        blocked += 1
-                    # This core's clock is set by the release; move on.
-                    if ready:
-                        now, core = heappop(ready)
-                    else:
-                        core = -1
-                    break
-                elif op == op_lock:
-                    t = now + work
-                    i += 1
-                    acc += work
-                    state = locks.setdefault(addresses[i - 1], _LockState())
-                    if state.held_by < 0:
-                        state.held_by = core
-                        bd.sync += lock_latency
-                        t += lock_latency
-                    else:
-                        indices[core] = i
-                        compute[core] = acc
-                        state.queue.append((core, t))
-                        blocked += 1
-                        # Parked; the unlocking core re-queues us.
-                        if ready:
-                            now, core = heappop(ready)
-                        else:
-                            core = -1
-                        break
-                elif op == op_unlock:
-                    t = now + work
-                    i += 1
-                    indices[core] = i
-                    acc += work
-                    address = addresses[i - 1]
-                    state = locks.get(address)
-                    if state is None or state.held_by != core:
-                        raise SimulationError(
-                            f"core {core} unlocks lock {address} it does not hold"
-                        )
-                    t += lock_latency
-                    bd.sync += lock_latency
-                    if sync_cb is not None:
-                        sync_cb(core, t)  # flush before the lock hand-off
-                    if state.queue:
-                        wcore, arrival = state.queue.popleft()
-                        state.held_by = wcore
-                        breakdowns[wcore].sync += t - arrival
-                        clocks[wcore] = t
-                        blocked -= 1
-                        if indices[wcore] < lengths[wcore]:
-                            heappush(ready, (t, wcore))
-                        elif state.queue:
-                            raise SimulationError(
-                                f"core {wcore} acquired lock {address} at end of trace "
-                                "while others wait"
-                            )
-                    else:
-                        state.held_by = -1
-                else:  # Op.WORK
-                    t = now + work
-                    i += 1
-                    acc += work
-
-                if i < n:
-                    if ready:
-                        # Keep-running pre-check against the heap root: the
-                        # same (t, core) tuple order heappushpop applies,
-                        # without allocating the entry or sifting when this
-                        # core remains the min-clock choice.
-                        r0 = ready[0]
-                        rt = r0[0]
-                        if t < rt or (t == rt and core < r0[1]):
-                            now = t  # still the min-clock core: keep going
-                            continue
-                        indices[core] = i
-                        clocks[core] = t
-                        compute[core] = acc
-                        now, core = heappushpop(ready, (t, core))
-                    else:
-                        now = t  # only runnable core left
-                        continue
-                else:
-                    indices[core] = i
-                    clocks[core] = t
-                    compute[core] = acc
-                    if ready:
-                        now, core = heappop(ready)
-                    else:
-                        core = -1
-                break
-
-        if blocked:
-            raise SimulationError(
-                f"deadlock: {blocked} cores still blocked at end of trace "
-                f"(barriers awaiting: {sorted(barrier_waiters)})"
-            )
-        if sync_cb is not None:
-            # End of the trace is its final release: no buffered store may
-            # outlive the execution (the verify-mode final-state sweep and
-            # the warmup -> measure transition both rely on this).
-            for core in range(num_cores):
-                sync_cb(core, clocks[core])
-        for core in range(num_cores):
-            breakdowns[core].compute += compute[core]
-        reads = 0
-        writes = 0
-        if fast is not None:
-            l1s = fast["l1s"]
-            for core in range(num_cores):
-                r, w = hits_r[core], hits_w[core]
-                l1s[core].hits += r + w
-                reads += r
-                writes += w
-            engine.miss_stats.hits += reads + writes
-            engine.energy.l1d_reads += reads
-            engine.energy.l1d_writes += writes
-        # Scheduler fast-path hit counts of the most recent execution, read
-        # by the telemetry snapshot (two attribute stores; no stats impact).
-        self._fast_read_hits = reads
-        self._fast_write_hits = writes
-        self._sched_counts = None
-        return clocks
-
-    # ------------------------------------------------------------------
-    def _execute_kernel(
-        self,
-        kernel_cls,
-        engine: ProtocolEngineBase,
-        trace: Trace,
-        start_clocks: list[float],
-        breakdowns: list[LatencyBreakdown],
-    ) -> list[float]:
-        """One execution pass on the compiled scheduler kernel.
-
-        The kernel owns cursors, heap, compute accumulators, the inline
-        L1-hit path and the native DLS word path over the raw
-        ``array('q')`` columns; this trampoline
-        owns everything synchronization-shaped - barrier rendezvous, lock
-        FIFOs, ``sync_boundary_hook`` boundaries, deadlock detection - at
-        one FFI crossing per sync record.  Every arithmetic step below is
-        the corresponding ``_execute`` branch verbatim, so the produced
-        statistics stay bit-identical to the pure-Python loop.
-        """
-        arch = self.arch
-        num_cores = arch.num_cores
-        barrier_latency = arch.barrier_latency
-        lock_latency = arch.lock_latency
+        #: consulted at unlock/barrier/end-of-trace.
         sync_cb = engine.sync_boundary_hook()
         fast = engine.scheduler_fast_path()
+        kernel_cls = accel.sched_kernel_class() or _PySchedKernel
         kernel = kernel_cls(
             trace.ops,
             trace.addresses,
@@ -545,18 +233,20 @@ class Simulator:
             fast,
             engine.scheduler_word_path(),
         )
-        stores = fast["stores"] if fast is not None else ()
+        # Only the compiled kernel mirrors L1 membership (its ``note``
+        # hook); the twin probes the engine's own buckets.
+        note = getattr(kernel, "note", None)
+        stores = fast["stores"] if fast is not None and note is not None else ()
         addr_cols = trace.addresses
         work_cols = trace.works
         op_barrier, op_lock = int(Op.BARRIER), int(Op.LOCK)
         barrier_waiters: dict[int, list[tuple[int, float]]] = {}
         locks: dict[int, _LockState] = {}
-        blocked = 0
+        blocked = 0  # cores parked at barriers or lock queues
         run = kernel.run
         wake = kernel.wake
         continue_at = kernel.continue_at
         try:
-            note = kernel.note
             for core, store in enumerate(stores):
                 store._observer = partial(note, core)
             while True:
@@ -592,6 +282,7 @@ class Simulator:
                         t += lock_latency
                         continue_at(core, i + 1, acc, t)
                     else:
+                        # Parked; the unlocking core re-queues us.
                         kernel.advance(core, i + 1, acc)
                         state.queue.append((core, t))
                         blocked += 1
@@ -627,12 +318,17 @@ class Simulator:
                 )
             clocks = kernel.clocks()
             if sync_cb is not None:
+                # End of the trace is its final release: no buffered store
+                # may outlive the execution (the verify-mode final-state
+                # sweep and the warmup -> measure transition rely on this).
                 for core in range(num_cores):
                     sync_cb(core, clocks[core])
             # finish() also folds the word path's native counters (energy,
             # slice, miss-type and mesh traffic sums) into the engine.
             hits_r, hits_w, rows, native = kernel.finish()
             word_reads, word_writes, access_exits, sync_exits = native
+            # The kernels accumulate from zero and the fields below are
+            # zero, so each sum lands bit-identically.
             for core in range(num_cores):
                 bd = breakdowns[core]
                 compute, l1_to_l2, l2_waiting, l2_sharers, l2_offchip = rows[core]
@@ -644,6 +340,8 @@ class Simulator:
             reads = 0
             writes = 0
             if fast is not None:
+                # Deferred hit counters (plain integer sums, so the fold
+                # order does not matter).
                 l1s = fast["l1s"]
                 for core in range(num_cores):
                     r, w = hits_r[core], hits_w[core]
@@ -710,3 +408,255 @@ class Simulator:
         stats.l2_misses = sum(s.misses for s in engine.l2)
         engine.export_stats(stats)
         return stats
+
+
+class _PySchedKernel:
+    """The pure-Python record walk, a twin of the compiled ``SchedKernel``.
+
+    Same constructor and methods, so :meth:`Simulator._execute` drives
+    either one: ``run()`` returns ``(op, core, now, i, acc)`` for a
+    synchronization record, *before* processing it, or ``None`` once
+    every runnable core is drained; ``advance``/``continue_at``/``wake``
+    re-enter; ``clocks`` and ``finish`` close the pass.  ``run`` resumes a
+    generator, so the walk's hoisted locals survive those exits.
+
+    This is the ungated reference the compiled walk is checked against.
+    It ignores the ``word`` descriptor (a native-only shape) and, since it
+    probes the engine's own L1 buckets, needs no membership observer.
+    """
+
+    __slots__ = (
+        "_lengths", "_indices", "_clocks", "_compute", "_latency",
+        "_hits_r", "_hits_w", "_ready", "_resume", "_exits", "_walk",
+    )
+
+    def __init__(
+        self, ops_cols, addr_cols, work_cols, start_clocks, l1_hit_latency,
+        access, result_type, fast, word,
+    ) -> None:
+        num_cores = len(ops_cols)
+        self._lengths = [len(col) for col in ops_cols]
+        self._indices = [0] * num_cores
+        self._clocks = list(start_clocks)
+        #: Per-core compute cycles and miss-latency components, summed
+        #: from zero in record order (finish() hands them over).
+        self._compute = [0.0] * num_cores
+        self._latency = [LatencyBreakdown() for _ in range(num_cores)]
+        self._hits_r = [0] * num_cores
+        self._hits_w = [0] * num_cores
+        self._ready = [
+            (self._clocks[core], core) for core in range(num_cores) if self._lengths[core]
+        ]
+        heapq.heapify(self._ready)
+        self._resume: tuple[int, float, float] | None = None
+        self._walk = self._records(ops_cols, addr_cols, work_cols, l1_hit_latency, access, fast)
+
+    def run(self):
+        return next(self._walk, None)
+
+    def advance(self, core: int, i: int, acc: float) -> None:
+        """Store the core's cursor and compute; the core stays parked."""
+        self._indices[core] = i
+        self._compute[core] = acc
+
+    def continue_at(self, core: int, i: int, acc: float, t: float) -> None:
+        """Resume the exited core at record ``i`` and clock ``t``."""
+        self._resume = (i, acc, t)
+
+    def wake(self, core: int, t: float) -> bool:
+        """Set the core's clock; re-queue it when records remain."""
+        self._clocks[core] = t
+        if self._indices[core] < self._lengths[core]:
+            heapq.heappush(self._ready, (t, core))
+            return True
+        return False
+
+    def clocks(self) -> list[float]:
+        return self._clocks
+
+    def finish(self):
+        rows = [
+            (acc, bd.l1_to_l2, bd.l2_waiting, bd.l2_sharers, bd.l2_offchip)
+            for acc, bd in zip(self._compute, self._latency)
+        ]
+        return self._hits_r, self._hits_w, rows, (0, 0, *self._exits)
+
+    def _records(self, ops_cols, addr_cols, work_cols, l1_hit_latency, access, fast):
+        """The walk itself; yields at each synchronization record.
+
+        The simulator's hottest Python loop.  It walks the columnar IR
+        (one cursor per core) instead of unpacking record tuples, and it
+        schedules with one ``heappushpop`` per core switch - none while
+        the executing core remains the min-clock choice.  ``(t, core)``
+        tuple order is the heap order, so the schedule is the exact
+        min-clock one.
+        """
+        # Materialized list views of the columnar IR: indexing an
+        # ``array('q')`` boxes a fresh int object per read, while a list
+        # returns the already-boxed object.  One bulk conversion per
+        # execution buys back three boxings per record in the loop below.
+        ops_cols = [list(col) for col in ops_cols]
+        addr_cols = [list(col) for col in addr_cols]
+        work_cols = [list(col) for col in work_cols]
+        lengths = self._lengths
+        indices = self._indices
+        clocks = self._clocks
+        compute = self._compute
+        latency = self._latency
+        hits_r = self._hits_r
+        hits_w = self._hits_w
+        ready = self._ready
+        heappop, heappushpop = heapq.heappop, heapq.heappushpop
+        num_cores = len(ops_cols)
+
+        # Inline L1-hit fast path (see ProtocolEngineBase.scheduler_fast_path):
+        # families with bookkeeping-only hits let the scheduler service them
+        # without an ``access`` call.  Hoisted to locals once per execution.
+        if fast is not None:
+            f_buckets = fast["buckets"]
+            f_set_bits = fast["set_bits"]
+            f_stores = fast["stores"]
+            f_mask = fast["set_mask"]
+            f_exclusive = fast["exclusive"]
+            f_modified = fast["modified"]
+            f_versions = fast["versions"]
+            if f_versions is not None:
+                # Neat's read-hit gate; no write is serviced inline.
+                f_copy_versions, f_line_versions = f_versions
+        else:
+            # No inline hit path: probe permanently-empty surrogate buckets
+            # (the engine fills its own L1 structures, never these), so the
+            # record loop needs no per-record "is there a fast path?" check
+            # - every probe misses and every access takes the full path.
+            f_buckets = [{}] * num_cores
+            f_set_bits = 0
+            f_stores = None
+            f_mask = 0
+            f_exclusive = f_modified = f_versions = None
+        line_bits = addrmod.LINE_BITS
+        op_read, op_write, op_work = int(Op.READ), int(Op.WRITE), int(Op.WORK)
+        access_exits = sync_exits = 0
+
+        if ready:
+            now, core = heappop(ready)
+        else:
+            core = -1
+        while core >= 0:
+            ops = ops_cols[core]
+            addresses = addr_cols[core]
+            works = work_cols[core]
+            n = lengths[core]
+            i = indices[core]
+            bd = latency[core]
+            acc = compute[core]
+            core_sets = core << f_set_bits
+            while True:
+                op = ops[i]
+                work = works[i]
+
+                if op == op_read:
+                    work += l1_hit_latency
+                    acc += work
+                    t = now + work
+                    address = addresses[i]
+                    i += 1
+                    line = address >> line_bits
+                    entry = f_buckets[core_sets | (line & f_mask)].get(line)
+                    if entry is not None and (
+                        f_versions is None
+                        or f_copy_versions[core].get(line) == f_line_versions.get(line, 0)
+                    ):
+                        # Inline L1 read hit: exactly the bookkeeping the
+                        # engine's access() hit branch performs (the
+                        # hit/energy counters are deferred to finish()).
+                        store = f_stores[core]
+                        counter = store._use_counter + 1
+                        store._use_counter = counter
+                        entry.last_use = counter
+                        entry.utilization += 1
+                        entry.last_access = t
+                        hits_r[core] += 1
+                    else:
+                        access_exits += 1
+                        result = access(core, False, address, t)
+                        if not result.hit:
+                            bd.l1_to_l2 += result.l1_to_l2
+                            bd.l2_waiting += result.l2_waiting
+                            bd.l2_sharers += result.l2_sharers
+                            bd.l2_offchip += result.l2_offchip
+                            t += result.latency
+                elif op == op_write:
+                    work += l1_hit_latency
+                    acc += work
+                    t = now + work
+                    address = addresses[i]
+                    i += 1
+                    line = address >> line_bits
+                    entry = f_buckets[core_sets | (line & f_mask)].get(line)
+                    if entry is not None and f_versions is None and entry.state >= f_exclusive:
+                        # Inline L1 write hit (the silent E -> M upgrade).
+                        store = f_stores[core]
+                        counter = store._use_counter + 1
+                        store._use_counter = counter
+                        entry.last_use = counter
+                        entry.utilization += 1
+                        entry.last_access = t
+                        entry.state = f_modified
+                        hits_w[core] += 1
+                    else:
+                        access_exits += 1
+                        result = access(core, True, address, t)
+                        if not result.hit:
+                            bd.l1_to_l2 += result.l1_to_l2
+                            bd.l2_waiting += result.l2_waiting
+                            bd.l2_sharers += result.l2_sharers
+                            bd.l2_offchip += result.l2_offchip
+                            t += result.latency
+                elif op == op_work:
+                    t = now + work
+                    i += 1
+                    acc += work
+                else:
+                    # Synchronization record: hand it over unprocessed (the
+                    # cursor still points at it).  The trampoline answers
+                    # with advance (parked) or continue_at (resume at t).
+                    sync_exits += 1
+                    yield op, core, now, i, acc
+                    resume = self._resume
+                    if resume is None:
+                        if ready:
+                            now, core = heappop(ready)
+                        else:
+                            core = -1
+                        break
+                    self._resume = None
+                    i, acc, t = resume
+
+                if i < n:
+                    if ready:
+                        # Keep-running pre-check against the heap root: the
+                        # same (t, core) tuple order heappushpop applies,
+                        # without allocating the entry or sifting when this
+                        # core remains the min-clock choice.
+                        r0 = ready[0]
+                        rt = r0[0]
+                        if t < rt or (t == rt and core < r0[1]):
+                            now = t  # still the min-clock core: keep going
+                            continue
+                        indices[core] = i
+                        clocks[core] = t
+                        compute[core] = acc
+                        now, core = heappushpop(ready, (t, core))
+                    else:
+                        now = t  # only runnable core left
+                        continue
+                else:
+                    indices[core] = i
+                    clocks[core] = t
+                    compute[core] = acc
+                    if ready:
+                        now, core = heappop(ready)
+                    else:
+                        core = -1
+                break
+        self._exits = (access_exits, sync_exits)

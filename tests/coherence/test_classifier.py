@@ -7,6 +7,8 @@ from repro.coherence.classifier.limited import LimitedClassifier, make_classifie
 from repro.common.params import ProtocolConfig
 from repro.common.types import RemovalReason, SharerMode
 from repro.mem.l2 import L2Line
+from repro.protocol.engine import ProtocolEngine
+from tests.protocol.test_engine import small_arch
 
 
 def make_line():
@@ -30,14 +32,14 @@ class TestFactory:
 class TestCompleteClassifier:
     def test_initial_mode_private(self):
         cls = CompleteClassifier(proto())
-        mode, entry = cls.resolve_mode(make_line(), core=7)
-        assert mode is SharerMode.PRIVATE
+        entry = cls.locality_entry(make_line(), 7, allocate=True)
         assert entry is not None and entry.core == 7
+        assert entry.mode is SharerMode.PRIVATE
 
     def test_demotion_below_pct(self):
         cls = CompleteClassifier(proto())
         line = make_line()
-        cls.resolve_mode(line, 0)
+        cls.locality_entry(line, 0, allocate=True)
         new_mode = cls.on_removal(line, 0, private_util=3, reason=RemovalReason.EVICTION)
         assert new_mode is SharerMode.REMOTE
         assert cls.demotions == 1
@@ -45,14 +47,14 @@ class TestCompleteClassifier:
     def test_stays_private_at_pct(self):
         cls = CompleteClassifier(proto())
         line = make_line()
-        cls.resolve_mode(line, 0)
+        cls.locality_entry(line, 0, allocate=True)
         assert cls.on_removal(line, 0, 4, RemovalReason.EVICTION) is SharerMode.PRIVATE
 
     def test_remote_plus_private_utilization_counted(self):
         """Section 3.2: classification adds remote to private utilization."""
         cls = CompleteClassifier(proto())
         line = make_line()
-        _, entry = cls.resolve_mode(line, 0)
+        entry = cls.locality_entry(line, 0, allocate=True)
         entry.mode = SharerMode.REMOTE
         cls.on_remote_access(line, entry, None, False)  # remote_util = 1... promoted
         # With an invalid way the short-cut does not apply below PCT.
@@ -63,7 +65,7 @@ class TestCompleteClassifier:
     def test_promotion_at_rat_threshold(self):
         cls = CompleteClassifier(proto())
         line = make_line()
-        _, entry = cls.resolve_mode(line, 0)
+        entry = cls.locality_entry(line, 0, allocate=True)
         entry.mode = SharerMode.REMOTE
         promoted = [cls.on_remote_access(line, entry, 10.0, False) for _ in range(4)]
         # RAT level 0 threshold == PCT == 4: promoted on the 4th access.
@@ -74,7 +76,7 @@ class TestCompleteClassifier:
     def test_rat_escalation_on_eviction_demotion(self):
         cls = CompleteClassifier(proto())
         line = make_line()
-        _, entry = cls.resolve_mode(line, 0)
+        entry = cls.locality_entry(line, 0, allocate=True)
         cls.on_removal(line, 0, 1, RemovalReason.EVICTION)
         assert entry.rat_level == 1  # threshold now RATmax=16
         entry2 = cls.locality_entry(line, 0, allocate=True)
@@ -87,14 +89,14 @@ class TestCompleteClassifier:
     def test_rat_unchanged_on_invalidation_demotion(self):
         cls = CompleteClassifier(proto())
         line = make_line()
-        _, entry = cls.resolve_mode(line, 0)
+        entry = cls.locality_entry(line, 0, allocate=True)
         cls.on_removal(line, 0, 1, RemovalReason.INVALIDATION)
         assert entry.rat_level == 0
 
     def test_rat_reset_on_private_classification(self):
         cls = CompleteClassifier(proto())
         line = make_line()
-        _, entry = cls.resolve_mode(line, 0)
+        entry = cls.locality_entry(line, 0, allocate=True)
         cls.on_removal(line, 0, 1, RemovalReason.EVICTION)
         assert entry.rat_level == 1
         cls.on_removal(line, 0, 8, RemovalReason.EVICTION)
@@ -103,7 +105,7 @@ class TestCompleteClassifier:
     def test_invalid_way_shortcut(self):
         cls = CompleteClassifier(proto())
         line = make_line()
-        _, entry = cls.resolve_mode(line, 0)
+        entry = cls.locality_entry(line, 0, allocate=True)
         cls.on_removal(line, 0, 1, RemovalReason.EVICTION)  # threshold 16 now
         entry = cls.locality_entry(line, 0, allocate=True)
         for _ in range(3):
@@ -115,7 +117,7 @@ class TestCompleteClassifier:
         cls = CompleteClassifier(proto())
         line = make_line()
         for core in (0, 1, 2):
-            _, e = cls.resolve_mode(line, core)
+            e = cls.locality_entry(line, core, allocate=True)
             e.mode = SharerMode.REMOTE
             e.remote_util = 3
         cls.on_write(line, writer=1)
@@ -128,7 +130,7 @@ class TestCompleteClassifier:
         cls = CompleteClassifier(proto(remote_policy="timestamp"))
         line = make_line()
         line.last_access = 100.0
-        _, entry = cls.resolve_mode(line, 0)
+        entry = cls.locality_entry(line, 0, allocate=True)
         entry.mode = SharerMode.REMOTE
         # Check passes: line hotter than the requester's coldest line.
         cls.on_remote_access(line, entry, l1_min_last_access=50.0, l1_has_invalid_way=False)
@@ -147,7 +149,7 @@ class TestOneWay:
     def test_never_promotes(self):
         cls = CompleteClassifier(proto(one_way=True))
         line = make_line()
-        _, entry = cls.resolve_mode(line, 0)
+        entry = cls.locality_entry(line, 0, allocate=True)
         cls.on_removal(line, 0, 1, RemovalReason.EVICTION)
         entry = cls.locality_entry(line, 0, allocate=True)
         for _ in range(100):
@@ -157,7 +159,7 @@ class TestOneWay:
     def test_demotion_still_happens(self):
         cls = CompleteClassifier(proto(one_way=True))
         line = make_line()
-        cls.resolve_mode(line, 0)
+        cls.locality_entry(line, 0, allocate=True)
         assert cls.on_removal(line, 0, 1, RemovalReason.EVICTION) is SharerMode.REMOTE
 
 
@@ -166,28 +168,31 @@ class TestLimitedClassifier:
         cls = LimitedClassifier(proto(classifier="limited", limited_k=3))
         line = make_line()
         for core in range(3):
-            mode, entry = cls.resolve_mode(line, core)
+            entry = cls.locality_entry(line, core, allocate=True)
             assert entry is not None
         assert len(cls.tracked_entries(line)) == 3
 
     def test_vote_when_full_and_active(self):
-        cls = LimitedClassifier(proto(classifier="limited", limited_k=3))
+        engine = ProtocolEngine(small_arch(), proto(classifier="limited", limited_k=3))
+        cls = engine.classifier
         line = make_line()
         for core in range(3):
-            cls.resolve_mode(line, core)  # all private, active
-        mode, entry = cls.resolve_mode(line, 10)
-        assert entry is None  # untracked
-        assert mode is SharerMode.PRIVATE  # majority of tracked modes
+            cls.locality_entry(line, core, allocate=True)  # all private, active
+        assert cls.locality_entry(line, 10, allocate=True) is None  # untracked
+        assert cls.majority_vote(line) is SharerMode.PRIVATE  # majority of tracked modes
+        # The directory serves the untracked requester by that vote, and
+        # counts the decision.
+        assert engine._classify_requester(None, line, 10, 0, False, False) == (False, False)
         assert cls.vote_decisions == 1
 
     def test_replacement_of_inactive_entry(self):
         cls = LimitedClassifier(proto(classifier="limited", limited_k=3))
         line = make_line()
         for core in range(3):
-            cls.resolve_mode(line, core)
+            cls.locality_entry(line, core, allocate=True)
         # Demote core 0: its entry becomes inactive (and remote).
         cls.on_removal(line, 0, 1, RemovalReason.INVALIDATION)
-        mode, entry = cls.resolve_mode(line, 10)
+        entry = cls.locality_entry(line, 10, allocate=True)
         assert entry is not None and entry.core == 10
         assert cls.replacements == 1
         tracked = {e.core for e in cls.tracked_entries(line)}
@@ -197,18 +202,18 @@ class TestLimitedClassifier:
         cls = LimitedClassifier(proto(classifier="limited", limited_k=3))
         line = make_line()
         for core in range(3):
-            cls.resolve_mode(line, core)
+            cls.locality_entry(line, core, allocate=True)
         for core in range(3):
             cls.on_removal(line, core, 1, RemovalReason.INVALIDATION)  # all remote now
-        mode, entry = cls.resolve_mode(line, 10)
+        entry = cls.locality_entry(line, 10, allocate=True)
         assert entry is not None
         assert entry.mode is SharerMode.REMOTE  # inherited by majority vote
 
     def test_vote_tie_favours_private(self):
         cls = LimitedClassifier(proto(classifier="limited", limited_k=2))
         line = make_line()
-        cls.resolve_mode(line, 0)
-        cls.resolve_mode(line, 1)
+        cls.locality_entry(line, 0, allocate=True)
+        cls.locality_entry(line, 1, allocate=True)
         cls.on_removal(line, 0, 1, RemovalReason.INVALIDATION)  # 1 remote, 1 private
         # Both remaining entries active? core1 private-active, core0 remote-inactive.
         # Tie in modes -> private (the protocol's initial mode).
@@ -217,11 +222,10 @@ class TestLimitedClassifier:
     def test_untracked_remote_vote_cannot_promote(self):
         cls = LimitedClassifier(proto(classifier="limited", limited_k=1))
         line = make_line()
-        cls.resolve_mode(line, 0)
-        _, entry = cls.resolve_mode(line, 0)
+        entry = cls.locality_entry(line, 0, allocate=True)
         entry.mode = SharerMode.REMOTE  # stays active
-        mode, tracked = cls.resolve_mode(line, 5)
-        assert tracked is None and mode is SharerMode.REMOTE
+        assert cls.locality_entry(line, 5, allocate=True) is None
+        assert cls.majority_vote(line) is SharerMode.REMOTE
         assert not cls.on_remote_access(line, None, None, True)
 
     def test_storage_bits_limited3(self):

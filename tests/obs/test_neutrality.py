@@ -66,14 +66,20 @@ def test_instrumented_run_emits_spans_and_counters(tmp_path):
             "mesh.slot_recycles", "sim.fastpath.read_hits"} <= counters
 
 
-@pytest.mark.skipif(
-    accel.sched_kernel_class() is None, reason="compiled scheduler kernel unavailable"
+@pytest.mark.parametrize(
+    "family,kernel",
+    [pytest.param(family, "compiled", id=family) for family in ("pct", "dls", "neat")]
+    + [pytest.param(family, "twin", id=f"{family}-twin") for family in ("pct", "dls", "neat")],
 )
-@pytest.mark.parametrize("family", ["pct", "dls", "neat"])
-def test_sched_exit_counters_emitted_and_neutral(family, tmp_path):
-    """The compiled scheduler's retirement/exit counters are emitted per
+def test_sched_exit_counters_emitted_and_neutral(family, kernel, tmp_path, monkeypatch):
+    """Either scheduler kernel's retirement/exit counters are emitted per
     run, account for every memory record of the measured pass, and leave
-    ``RunStats`` untouched."""
+    ``RunStats`` untouched.  ``twin`` runs the pure-Python record walk
+    (``REPRO_NO_ACCEL=1``)."""
+    if kernel == "twin":
+        monkeypatch.setenv(accel.NO_ACCEL_ENV, "1")
+    elif accel.sched_kernel_class() is None:
+        pytest.skip("compiled scheduler kernel unavailable")
     (job,) = _jobs((family,))
     baseline = execute_job(job).to_dict()
     sink = tmp_path / "events.jsonl"
@@ -97,7 +103,7 @@ def test_sched_exit_counters_emitted_and_neutral(family, tmp_path):
     memory_records = counters["sim.l1d.accesses"]
     assert retired + counters["sched.exits.access"] == memory_records
     assert counters["sched.exits.sync"] > 0
-    if family == "dls":
+    if family == "dls" and kernel == "compiled":
         assert counters["sched.retired.l2_word"] > 0
     else:
         assert counters["sched.retired.l2_word"] == 0

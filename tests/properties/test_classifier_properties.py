@@ -48,7 +48,9 @@ def make_classifier(proto: ProtocolConfig):
 
 def drive(classifier, l2line: L2Line, kind: str, core: int, putil: int) -> None:
     if kind == "remote_access":
-        mode, entry = classifier.resolve_mode(l2line, core)
+        # The directory's decision: the tracked entry's mode, else the vote.
+        entry = classifier.locality_entry(l2line, core, allocate=True)
+        mode = entry.mode if entry is not None else classifier.majority_vote(l2line)
         if mode is SharerMode.REMOTE:
             classifier.on_remote_access(l2line, entry, None, True)
     elif kind == "removal_evict":

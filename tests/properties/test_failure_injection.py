@@ -7,6 +7,7 @@ from array import array
 
 import pytest
 
+from repro import accel
 from repro.common.errors import CoherenceError, ConfigError, SimulationError, TraceError
 from repro.common.params import ArchConfig, CacheGeometry, ProtocolConfig, baseline_protocol
 from repro.common.types import Op
@@ -26,6 +27,18 @@ def raw_trace(name: str, num_cores: int, streams) -> Trace:
         [array("q", [r[2] for r in s]) for s in streams],
         (0, 0, 0),
     )
+
+
+@pytest.fixture(params=["compiled", "twin"])
+def sched_kernel(request, monkeypatch):
+    """Run the test under the compiled scheduler kernel and under its
+    pure-Python twin (``REPRO_NO_ACCEL=1``): one trampoline serves both,
+    so its error paths must fire under each."""
+    if request.param == "twin":
+        monkeypatch.setenv(accel.NO_ACCEL_ENV, "1")
+    elif accel.sched_kernel_class() is None:
+        pytest.skip("compiled scheduler kernel unavailable")
+    return request.param
 
 
 class TestConfigValidation:
@@ -107,7 +120,7 @@ class TestTraceValidation:
         with pytest.raises(TraceError, match="out of range"):
             Trace("bad", 1, [[(int(Op.READ), 1 << 60, 0)]])
 
-    def test_runtime_unlock_of_unheld_lock_raises(self):
+    def test_runtime_unlock_of_unheld_lock_raises(self, sched_kernel):
         # Build-time validation rejects unlock-before-lock, so the runtime
         # guard is defensive; bypass validation to prove it still fires.
         bad = raw_trace("bad", 16, [[(int(Op.UNLOCK), 1, 0)]] + [[] for _ in range(15)])
@@ -117,7 +130,7 @@ class TestTraceValidation:
 
 
 class TestDeadlockDetection:
-    def test_unreleased_lock_blocks_and_is_reported(self):
+    def test_unreleased_lock_blocks_and_is_reported(self, sched_kernel):
         # Both threads end their streams fighting over lock 1 (thread 0
         # never releases): the simulator must report the deadlock instead
         # of silently dropping the parked thread.  Built unvalidated because
@@ -130,4 +143,18 @@ class TestDeadlockDetection:
         bad = raw_trace("deadlock", 16, streams)
         sim = Simulator(small_arch(), baseline_protocol())
         with pytest.raises(SimulationError, match="deadlock"):
+            sim.run(bad)
+
+    def test_lock_acquired_at_end_of_trace_while_others_wait(self, sched_kernel):
+        # Core 1's stream ends on its acquire while core 2 still queues for
+        # the lock: the hand-off on core 0's unlock goes to a core that can
+        # never release it.
+        streams = [
+            [(int(Op.LOCK), 1, 0), (int(Op.WORK), 0, 10), (int(Op.UNLOCK), 1, 0)],
+            [(int(Op.WORK), 0, 1), (int(Op.LOCK), 1, 0)],
+            [(int(Op.WORK), 0, 2), (int(Op.LOCK), 1, 0)],
+        ] + [[] for _ in range(13)]
+        bad = raw_trace("stranded", 16, streams)
+        sim = Simulator(small_arch(), baseline_protocol())
+        with pytest.raises(SimulationError, match="acquired lock 1 at end of trace"):
             sim.run(bad)
