@@ -28,9 +28,11 @@ encodes exactly the same epoch -> occupancy map as the flat-dict model it
 replaces - same reservations, same departure times, bit-identical runs.
 
 Routes are pre-resolved to tuples of dense link ids (``resolve_path``) and
-a whole multi-hop reservation happens in one call (``traverse_path``),
-which the protocol engines invoke directly for their request -> home ->
-reply chains; ``unicast``/``broadcast`` are thin wrappers.
+a whole multi-hop reservation happens in one call (``traverse_path``).
+Callers address messages by tile id and message type only: ``unicast``
+(one leg), ``traverse_chain`` (a request and its reply), ``traverse_many``
+(one message per target) and ``broadcast`` each probe the route memo
+themselves, so no other module knows its format.
 
 The mesh also counts router and link flit traversals, which the energy model
 converts into dynamic energy (DSENT-like, Section 4.2).
@@ -218,10 +220,7 @@ class MeshNetwork:
                 )
         self._link_free_at: dict[int, float] = {}
         #: Flat (src * num_tiles + dst) -> dense-link-id route memo, filled
-        #: on demand from the topology's route cache.  Public contract: the
-        #: protocol engines index this list directly (via ``paths``) and
-        #: call :meth:`resolve_path` on a miss, skipping a method call per
-        #: message on their hottest chains.
+        #: on demand from the topology's route cache (see ``paths``).
         self._routes: list[tuple | None] = [None] * (num_tiles * num_tiles)
         #: Per-root broadcast tree with pre-resolved dense link ids.
         self._bcast_edges: dict[int, tuple[tuple[int, int, int], ...]] = {}
@@ -273,7 +272,9 @@ class MeshNetwork:
     @property
     def paths(self) -> list[tuple | None]:
         """The flat route memo of reserved-path descriptors (see
-        :meth:`resolve_path`); entries may be ``None`` until resolved."""
+        :meth:`resolve_path`); entries may be ``None`` until resolved.
+        Read only by the compiled scheduler kernel's native word path,
+        which declines a record whose route is still unresolved."""
         return self._routes
 
     def reset_contention(self) -> None:
@@ -540,31 +541,40 @@ class MeshNetwork:
     # ------------------------------------------------------------------
     def traverse_chain(
         self,
-        path1: tuple,
-        flits1: int,
+        src: int,
+        dst: int,
+        msg1: MsgType,
         t0: float,
         busy_until: float,
         gap: float,
-        path2: tuple,
-        flits2: int,
+        msg2: MsgType,
     ) -> tuple[float, float]:
-        """Reserve a request leg and its dependent reply leg in one call.
+        """Reserve the round trip src -> dst -> src in one call.
 
         Exactly equivalent to the composed sequence::
 
-            t1 = traverse_path(path1, t0, flits1)        # request tail
+            t1 = unicast(src, dst, msg1, t0)              # request tail
             start = max(t1, busy_until)                   # wait out the line
-            t2 = traverse_path(path2, start + gap, flits2)  # reply tail
+            t2 = unicast(dst, src, msg2, start + gap)     # reply tail
 
         and returns ``(t1, t2)`` so the caller can still account the
         waiting time (``busy_until - t1``).  With the compiled kernel and
-        two non-empty legs this crosses the FFI boundary once per miss
-        instead of once per traversal; any empty leg (same-tile message)
-        composes the pure calls, which short-circuit without touching the
-        network either way.
+        ``src != dst`` this crosses the FFI boundary once per miss instead
+        of once per leg; a same-tile round trip composes the pure calls, which
+        return without touching the network either way.
         """
+        routes = self._routes
+        num_tiles = self._num_tiles
+        path1 = routes[src * num_tiles + dst]
+        if path1 is None:
+            path1 = self.resolve_path(src, dst)
+        path2 = routes[dst * num_tiles + src]
+        if path2 is None:
+            path2 = self.resolve_path(dst, src)
+        flits1 = self._flits_table[msg1]
+        flits2 = self._flits_table[msg2]
         kernel = self._kernel
-        if kernel is not None and path1[1] and path2[1]:
+        if kernel is not None and src != dst:
             self.link_flit_traversals += flits1 * path1[1] + flits2 * path2[1]
             self.messages_sent += 2
             self.flits_sent += flits1 + flits2
@@ -575,15 +585,27 @@ class MeshNetwork:
         start = busy_until if busy_until > t1 else t1
         return t1, self.traverse_path(path2, start + gap, flits2)
 
-    def traverse_many(self, paths: list, t_head: float, flits: int) -> list[float]:
-        """Reserve one same-sized message per path, all departing at
-        ``t_head``, in list order; return the per-path tail arrivals.
+    def traverse_many(
+        self, src: int, dsts: list[int], msg: MsgType, t_head: float
+    ) -> list[float]:
+        """Reserve one ``msg`` from ``src`` to each tile of ``dsts``, all
+        departing at ``t_head``, in list order; return the per-target tail
+        arrivals.
 
         The invalidation rounds of the directory families reserve one INV
         per sharer back to back - reservation *order* is contractual (it
         decides who gets the contended slot), and this preserves it while
         crossing the FFI boundary once for the whole round.
         """
+        routes = self._routes
+        row = src * self._num_tiles
+        paths = []
+        for dst in dsts:
+            path = routes[row + dst]
+            if path is None:
+                path = self.resolve_path(src, dst)
+            paths.append(path)
+        flits = self._flits_table[msg]
         kernel = self._kernel
         if kernel is None:
             traverse = self.traverse_path
@@ -601,9 +623,12 @@ class MeshNetwork:
 
     # ------------------------------------------------------------------
     def unicast(self, src: int, dst: int, msg: MsgType, start: float) -> float:
-        """Send one message; return the arrival time of its tail flit."""
-        if src == dst:
-            return start
+        """Send one message; return the arrival time of its tail flit.
+
+        A same-tile message takes the empty route: it arrives at ``start``
+        uncounted (see :meth:`traverse_path`), and its route is memoized
+        like any other.
+        """
         path = self._routes[src * self._num_tiles + dst]
         if path is None:
             path = self.resolve_path(src, dst)

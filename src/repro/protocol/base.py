@@ -25,15 +25,21 @@ Concrete families implement :meth:`access` plus the purge hooks:
 * ``repro.protocol.neat`` - the self-invalidation/self-downgrade comparison
   baseline.
 
-Every family's miss has one shape: probe, then chain or deliver.
-:meth:`_chain_probe` checks that the line's home is memoized and the line
-is resident there.  If so, and no coherence round must run between the
-legs, the request and the reply ride one ``MeshNetwork.traverse_chain``
-call (:meth:`_chain_request_reply`).  Otherwise :meth:`_request_at_home`
-(or :meth:`_deliver_request`) delivers the request - home resolution,
-serialization, off-chip fill - and the reply is reserved after service.
-The shape is the same with and without the compiled mesh kernel; without
-it ``traverse_chain`` composes the ``traverse_path`` calls exactly.
+Every family's miss has one shape: probe, then chain or deliver, and
+its reply leg is reserved in exactly one place.  The reply message type
+is fixed before the request departs.  :meth:`_chain_probe` checks that
+the line's home is memoized and the line is resident there.  If so, and
+no coherence round must run between the legs, the request and the reply
+ride one ``MeshNetwork.traverse_chain`` call (:meth:`_chain_request_reply`).
+Otherwise :meth:`_request_at_home` (or :meth:`_deliver_request`) delivers
+the request - home resolution, serialization, off-chip fill - and after
+any coherence round the reply is one ``MeshNetwork.unicast``.  Either way
+the home-side bookkeeping (:meth:`_word_service_bookkeeping`, a private
+grant, a line fill) runs afterwards: it touches no network or time state
+before the reply arrives.  Engines address every message by tile id and
+message type; only ``MeshNetwork`` knows its route memo.  The shape is the
+same with and without the compiled mesh kernel; without it
+``traverse_chain`` composes the ``unicast`` legs exactly.
 
 ``repro.protocol.engine.make_engine`` maps ``ProtocolConfig.protocol`` to the
 family class.
@@ -130,13 +136,6 @@ class ProtocolEngineBase:
         "_words_per_line",
         "_hit_result",
         "_line_home_cache",
-        "_num_tiles",
-        "_net_paths",
-        "_net_resolve",
-        "_net_traverse",
-        "_net_chain",
-        "_net_many",
-        "_net_flits",
     )
 
     def __init__(
@@ -174,18 +173,6 @@ class ProtocolEngineBase:
         # Cheap int aliases for the hot path.
         self._l2_latency = arch.l2.latency
         self._words_per_line = arch.words_per_line
-
-        #: Reserved-path traversal plumbing, hoisted once: the multi-hop
-        #: request -> home -> reply chains probe the network's route memo
-        #: directly and reserve whole paths in one ``traverse_path`` call
-        #: (no per-message ``unicast`` wrapper, no MsgType dispatch).
-        self._num_tiles = arch.num_cores
-        self._net_paths = self.network.paths
-        self._net_resolve = self.network.resolve_path
-        self._net_traverse = self.network.traverse_path
-        self._net_chain = self.network.traverse_chain
-        self._net_many = self.network.traverse_many
-        self._net_flits = [self.network.flits_for(msg) for msg in MsgType]
 
         #: Shared L1-hit result: every field of a hit is constant (zero
         #: latency decomposition, ``hit=True``), so the hit fast path returns
@@ -428,10 +415,7 @@ class ProtocolEngineBase:
         """
         if flush_owner is not None:
             self._flush_private_page(line, flush_owner, now)
-        path = self._net_paths[core * self._num_tiles + home]
-        if path is None:
-            path = self._net_resolve(core, home)
-        t = self._net_traverse(path, now, self._net_flits[req_msg])
+        t = self.network.unicast(core, home, req_msg, now)
         slice_ = self.l2[home]
         store = slice_.store
         l2line = store._sets[line & store._set_mask].get(line)
@@ -459,14 +443,11 @@ class ProtocolEngineBase:
         word: int,
         l2line: L2Line,
         slice_: L2Slice,
-    ) -> MsgType:
-        """The home-side word access minus the reply traversal.
-
-        Split from :meth:`_service_word_at_home` so the chained fast paths
-        (which reserve request + reply in one ``traverse_chain`` call) can
-        run the bookkeeping separately; none of it depends on time or on
-        network state, so the split cannot change results.  Returns the
-        reply message type (always determined by ``is_write`` alone).
+    ) -> None:
+        """The home-side word access.  The caller reserves the reply leg
+        (``WORD_WRITE_ACK`` or ``WORD_REPLY``, by ``is_write`` alone)
+        first; none of this depends on time or on network state, so the
+        order cannot change results.
         """
         if is_write:
             slice_.word_writes += 1
@@ -477,29 +458,11 @@ class ProtocolEngineBase:
                 token = self._issue_write_token(core)
                 l2line.data[word] = token
                 self.golden.write_word(line, word, token)
-            return MsgType.WORD_WRITE_ACK
-        slice_.word_reads += 1
-        self.energy.l2_word_reads += 1
-        if self.verify:
-            self.golden.check_read(line, word, l2line.data[word], f"remote read core {core}")
-        return MsgType.WORD_REPLY
-
-    def _service_word_at_home(
-        self,
-        core: int,
-        is_write: bool,
-        line: int,
-        word: int,
-        l2line: L2Line,
-        home: int,
-        slice_: L2Slice,
-        t: float,
-    ) -> float:
-        reply = self._word_service_bookkeeping(core, is_write, line, word, l2line, slice_)
-        path = self._net_paths[home * self._num_tiles + core]
-        if path is None:
-            path = self._net_resolve(home, core)
-        return self._net_traverse(path, t, self._net_flits[reply])
+        else:
+            slice_.word_reads += 1
+            self.energy.l2_word_reads += 1
+            if self.verify:
+                self.golden.check_read(line, word, l2line.data[word], f"remote read core {core}")
 
     # ------------------------------------------------------------------
     # Chained request -> home -> reply delivery (one FFI crossing per
@@ -536,23 +499,13 @@ class ProtocolEngineBase:
     ) -> tuple[float, float]:
         """Reserve the request and reply legs in one ``traverse_chain``
         call, with the same serialization/latency arithmetic and the same
-        counter updates as ``_deliver_request`` + a reply traversal.
+        counter updates as ``_deliver_request`` + the reply ``unicast``.
         Returns ``(t, reply_t)``: the home service time and the reply's
-        tail arrival at the requester.  Only valid when the reply message
-        type is known up front (the L2-hit fast shapes).
+        tail arrival at the requester.
         """
-        paths = self._net_paths
-        num_tiles = self._num_tiles
-        flits = self._net_flits
-        path1 = paths[core * num_tiles + home]
-        if path1 is None:
-            path1 = self._net_resolve(core, home)
-        path2 = paths[home * num_tiles + core]
-        if path2 is None:
-            path2 = self._net_resolve(home, core)
         busy = l2line.busy_until
-        t1, reply_t = self._net_chain(
-            path1, flits[req_msg], now, busy, self._l2_latency, path2, flits[reply_msg]
+        t1, reply_t = self.network.traverse_chain(
+            core, home, req_msg, now, busy, self._l2_latency, reply_msg
         )
         if busy > t1:
             result.l2_waiting = busy - t1
@@ -562,6 +515,29 @@ class ProtocolEngineBase:
         self.energy.l2_tag_accesses += 1
         slice_.hits += 1
         return t, reply_t
+
+    def _request_reply(
+        self,
+        core: int,
+        line: int,
+        req_msg: MsgType,
+        reply_msg: MsgType,
+        now: float,
+        result: AccessResult,
+    ) -> tuple[L2Slice, L2Line, float, float]:
+        """Probe, then chain or deliver, for a miss with no coherence round
+        between its legs.  Returns ``(slice_, l2line, t, reply_t)``: the
+        home service time and the reply's tail arrival."""
+        probe = self._chain_probe(core, line)
+        if probe is not None:
+            home, slice_, l2line = probe
+            t, reply_t = self._chain_request_reply(
+                core, home, l2line, slice_, req_msg, reply_msg, now, result
+            )
+        else:
+            home, slice_, l2line, t = self._request_at_home(core, line, req_msg, now, result)
+            reply_t = self.network.unicast(home, core, reply_msg, t)
+        return slice_, l2line, t, reply_t
 
     # ------------------------------------------------------------------
     # L2 miss: fetch the line from off-chip memory.

@@ -165,7 +165,7 @@ class DirectoryEngine(ProtocolEngineBase):
         # back) has the request and the reply as its only traversals, so
         # both ride one traverse_chain call.  Any other miss delivers the
         # request first (home resolution, off-chip fill, or a coherence
-        # round between the legs) and reserves the reply after service.
+        # round between the legs) and unicasts the reply after that.
         if is_write:
             req_msg = _UPGRADE_REQ if upgrade else _WRITE_REQ
         else:
@@ -187,17 +187,19 @@ class DirectoryEngine(ProtocolEngineBase):
             l1, l2line, core, line, is_write, upgrade
         )
 
+        # The reply type depends only on the service mode, never on the
+        # E-vs-S grant decision, so it is fixed before the request departs.
+        if is_write and (serviced_remote or upgrade):
+            reply_msg = _WORD_WRITE_ACK
+        elif serviced_remote:
+            reply_msg = _WORD_REPLY
+        else:
+            reply_msg = _LINE_REPLY
         reply_t = None
         if probe is not None:
             if foreign:
                 t = self._deliver_request(core, line, home, None, req_msg, now, result)[3]
             else:
-                if serviced_remote:
-                    reply_msg = _WORD_WRITE_ACK if is_write else _WORD_REPLY
-                elif is_write and upgrade:
-                    reply_msg = _WORD_WRITE_ACK
-                else:
-                    reply_msg = _LINE_REPLY
                 t, reply_t = self._chain_request_reply(
                     core, home, l2line, slice_, req_msg, reply_msg, now, result
                 )
@@ -208,7 +210,7 @@ class DirectoryEngine(ProtocolEngineBase):
         miss_type = self._classify_miss(flags, upgrade, serviced_remote)
         result.miss_type = miss_type
         result.remote = serviced_remote
-        self.miss_stats._miss_counts[miss_type] += 1
+        self.miss_stats.record_miss(miss_type)
 
         # ---- coherence actions at the home: resolve foreign copies.
         if foreign:
@@ -221,24 +223,15 @@ class DirectoryEngine(ProtocolEngineBase):
         if is_write and self.classifier is not None:
             self.classifier.on_write(l2line, core)
 
-        # ---- service: word access at L2 or private line grant.  On the
-        # chained path the reply leg is already reserved; only the
-        # time-independent bookkeeping halves run here.
+        # ---- service: the reply leg (unless the chain reserved it), then
+        # the word access at L2 or the private line grant.
+        if reply_t is None:
+            reply_t = self.network.unicast(home, core, reply_msg, t)
         if serviced_remote:
-            if reply_t is None:
-                reply_t = self._service_word_at_home(
-                    core, is_write, line, word, l2line, home, slice_, t
-                )
-            else:
-                self._word_service_bookkeeping(core, is_write, line, word, l2line, slice_)
+            self._word_service_bookkeeping(core, is_write, line, word, l2line, slice_)
             flags |= _EVER_REMOTE
         else:
-            if reply_t is None:
-                reply_t = self._service_private(
-                    core, is_write, line, word, l2line, home, slice_, t, upgrade
-                )
-            else:
-                self._grant_private(core, is_write, line, word, l2line, slice_, upgrade, reply_t)
+            self._grant_private(core, is_write, line, word, l2line, slice_, upgrade, reply_t)
             flags |= _EVER_CACHED
         history[line] = flags
 
@@ -254,11 +247,7 @@ class DirectoryEngine(ProtocolEngineBase):
                 l2line.busy_until = busy
         else:
             l2line.busy_until = t
-        # slice_.touch, inlined (bump LRU + last-access timestamp).
-        store = slice_.store
-        store._use_counter = counter = store._use_counter + 1
-        l2line.last_use = counter
-        l2line.last_access = t
+        slice_.touch(l2line, t)
         energy.directory_updates += 1
 
         result.latency = reply_t - now
@@ -322,29 +311,6 @@ class DirectoryEngine(ProtocolEngineBase):
     # ------------------------------------------------------------------
     # Private (line) service
     # ------------------------------------------------------------------
-    def _service_private(
-        self,
-        core: int,
-        is_write: bool,
-        line: int,
-        word: int,
-        l2line: L2Line,
-        home: int,
-        slice_: L2Slice,
-        t: float,
-        upgrade: bool,
-    ) -> float:
-        # The reply type depends only on is_write/upgrade, never on the
-        # E-vs-S grant decision, so the traversal can run first and the
-        # grant bookkeeping (shared with the chained path) after.
-        reply = _WORD_WRITE_ACK if (is_write and upgrade) else _LINE_REPLY
-        path = self._net_paths[home * self._num_tiles + core]
-        if path is None:
-            path = self._net_resolve(home, core)
-        reply_t = self._net_traverse(path, t, self._net_flits[reply])
-        self._grant_private(core, is_write, line, word, l2line, slice_, upgrade, reply_t)
-        return reply_t
-
     def _grant_private(
         self,
         core: int,
@@ -356,9 +322,8 @@ class DirectoryEngine(ProtocolEngineBase):
         upgrade: bool,
         reply_t: float,
     ) -> None:
-        """Directory/L1 bookkeeping of a private grant: everything
-        :meth:`_service_private` does except the reply traversal (the
-        chained fast path reserves that leg itself)."""
+        """Directory/L1 bookkeeping of a private grant.  Runs after the
+        reply leg is reserved: ``reply_t`` timestamps the L1 fill."""
         dirent = l2line.directory
         classifier = self.classifier
         if classifier is not None:
@@ -434,13 +399,9 @@ class DirectoryEngine(ProtocolEngineBase):
         """
         dirent = l2line.directory
         targets = [c for c in dirent.sharers if c != requester]
-        paths = self._net_paths
-        resolve = self._net_resolve
-        traverse = self._net_traverse
-        flits_tab = self._net_flits
-        num_tiles = self._num_tiles
+        network = self.network
         if self.sharer_policy.use_broadcast(dirent):
-            arrivals = self.network.broadcast(home, MsgType.INV_BROADCAST, t)
+            arrivals = network.broadcast(home, MsgType.INV_BROADCAST, t)
             self.sharer_policy.broadcast_invalidations += 1
         else:
             # All INVs depart together at ``t``: one batched traverse_many
@@ -448,22 +409,12 @@ class DirectoryEngine(ProtocolEngineBase):
             # compiled kernel).  The acks stay per-target below - each
             # departs at its own INV arrival and may differ in type - and
             # the all-INVs-then-acks reservation order is preserved.
-            inv_paths = []
-            for c in targets:
-                path = paths[home * num_tiles + c]
-                if path is None:
-                    path = resolve(home, c)
-                inv_paths.append(path)
-            inv_flits = flits_tab[_INV_REQ]
-            arrivals = dict(zip(targets, self._net_many(inv_paths, t, inv_flits)))
+            arrivals = dict(zip(targets, network.traverse_many(home, targets, _INV_REQ, t)))
             self.sharer_policy.unicast_invalidations += len(targets)
         done = t
         for c in targets:
             ack_msg = self._purge_target_copy(c, line, l2line, merge_into_l2=True)
-            path = paths[c * num_tiles + home]
-            if path is None:
-                path = resolve(c, home)
-            ack_t = traverse(path, arrivals[c], flits_tab[ack_msg])
+            ack_t = network.unicast(c, home, ack_msg, arrivals[c])
             if ack_t > done:
                 done = ack_t
             self.sharer_policy.remove_sharer(dirent, c)
@@ -514,16 +465,7 @@ class DirectoryEngine(ProtocolEngineBase):
             raise CoherenceError(f"owner {owner} of line {line:#x} has no L1 copy")
         dirty = entry.state is MESIState.MODIFIED
         msg = _WB_DATA if dirty else _INV_ACK  # data vs clean downgrade ack
-        paths = self._net_paths
-        num_tiles = self._num_tiles
-        path1 = paths[home * num_tiles + owner]
-        if path1 is None:
-            path1 = self._net_resolve(home, owner)
-        path2 = paths[owner * num_tiles + home]
-        if path2 is None:
-            path2 = self._net_resolve(owner, home)
-        flits = self._net_flits
-        _, ack_t = self._net_chain(path1, flits[_WB_REQ], t, 0.0, 0.0, path2, flits[msg])
+        _, ack_t = self.network.traverse_chain(home, owner, _WB_REQ, t, 0.0, 0.0, msg)
         if dirty:
             self.energy.l1d_line_reads += 1
             self.energy.l2_line_writes += 1
@@ -546,10 +488,7 @@ class DirectoryEngine(ProtocolEngineBase):
         hist[vline] = (hist.get(vline, 0) | _EVER_CACHED) & ~_LAST_REMOVAL_INVAL
         dirty = ventry.state is MESIState.MODIFIED
         msg = _EVICT_DIRTY if dirty else _EVICT_NOTIFY
-        path = self._net_paths[core * self._num_tiles + vhome]
-        if path is None:
-            path = self._net_resolve(core, vhome)
-        self._net_traverse(path, t, self._net_flits[msg])  # off the critical path
+        self.network.unicast(core, vhome, msg, t)  # off the critical path
         vslice = self.l2[vhome]
         vl2 = vslice.lookup(vline)
         if vl2 is None:

@@ -77,8 +77,12 @@ class DLSEngine(ProtocolEngineBase):
         # ---- request to the word's home slice (writes carry the data word).
         # ``data_word_home`` must run unconditionally (page-classification
         # side effects); the chained shape only requires that no private
-        # page is being flushed and the line is resident at the home.
-        req_msg = MsgType.WRITE_REQ if is_write else MsgType.READ_REQ
+        # page is being flushed and the line is resident at the home.  The
+        # reply type depends only on ``is_write``.
+        if is_write:
+            req_msg, reply_msg = MsgType.WRITE_REQ, MsgType.WORD_WRITE_ACK
+        else:
+            req_msg, reply_msg = MsgType.READ_REQ, MsgType.WORD_REPLY
         home, flush_owner = self.placement.data_word_home(line, word, core)
         l2line = None
         if flush_owner is None:
@@ -87,29 +91,22 @@ class DLSEngine(ProtocolEngineBase):
             l2line = store._sets[line & store._set_mask].get(line)
         if l2line is not None:
             # Resident line: request and reply reserved in one
-            # ``traverse_chain`` call (the reply type depends only on
-            # ``is_write``, so it is known before the request departs).
-            reply_msg = MsgType.WORD_WRITE_ACK if is_write else MsgType.WORD_REPLY
+            # ``traverse_chain`` call.
             t, reply_t = self._chain_request_reply(
                 core, home, l2line, slice_, req_msg, reply_msg, now, result
             )
-            self._word_service_bookkeeping(core, is_write, line, word, l2line, slice_)
         else:
             home, slice_, l2line, t = self._deliver_request(
                 core, line, home, flush_owner, req_msg, now, result
             )
-            reply_t = None
+            reply_t = self.network.unicast(home, core, reply_msg, t)
+        self._word_service_bookkeeping(core, is_write, line, word, l2line, slice_)
 
         # ---- every access is a miss: first touch is cold, then word.
         flags = self._history[core].get(line, 0)
         result.miss_type = self._classify_miss(flags, upgrade=False, serviced_remote=True)
         self.miss_stats.record_miss(result.miss_type)
         self._history[core][line] = flags | _EVER_REMOTE
-
-        if reply_t is None:
-            reply_t = self._service_word_at_home(
-                core, is_write, line, word, l2line, home, slice_, t
-            )
 
         # ---- settle timing: writes serialize, word reads pipeline.
         if is_write:
@@ -136,7 +133,7 @@ class DLSEngine(ProtocolEngineBase):
         network = self.network
         if self.verify or network.implementation != "accel":
             return None
-        flits = self._net_flits
+        flits_for = network.flits_for
         store = self.l2[0].store
         return {
             "engine": self,
@@ -144,10 +141,10 @@ class DLSEngine(ProtocolEngineBase):
             "network": network,
             "paths": network.paths,
             "flits": (
-                flits[MsgType.READ_REQ],
-                flits[MsgType.WRITE_REQ],
-                flits[MsgType.WORD_REPLY],
-                flits[MsgType.WORD_WRITE_ACK],
+                flits_for(MsgType.READ_REQ),
+                flits_for(MsgType.WRITE_REQ),
+                flits_for(MsgType.WORD_REPLY),
+                flits_for(MsgType.WORD_WRITE_ACK),
             ),
             "pages": self.placement.page_table._pages,
             "private": PageKind.PRIVATE,

@@ -177,27 +177,22 @@ class NeatEngine(ProtocolEngineBase):
         self.energy.l1d_tag_accesses += 1
         result = AccessResult()
 
-        # ---- request to the home slice (writes carry the data word).
-        # A memoized home with the line resident chains request and reply
-        # in one ``traverse_chain`` call; the reply type is known up front
-        # (WORD_WRITE_ACK for the eager downgrade, LINE_REPLY for the
-        # line fetch) and the home-side bookkeeping is time-independent.
-        req_msg = MsgType.WRITE_REQ if is_write else MsgType.READ_REQ
-        probe = self._chain_probe(core, line)
-        if probe is not None:
-            home, slice_, l2line = probe
-            reply_msg = MsgType.WORD_WRITE_ACK if is_write else MsgType.LINE_REPLY
-            t, reply_t = self._chain_request_reply(
-                core, home, l2line, slice_, req_msg, reply_msg, now, result
-            )
+        # ---- request to the home slice (writes carry the data word), and
+        # the reply: WORD_WRITE_ACK for the eager downgrade, LINE_REPLY for
+        # the line fetch.  The home-side bookkeeping below is
+        # time-independent, so it runs after the reply leg is reserved.
+        if is_write:
+            req_msg, reply_msg = MsgType.WRITE_REQ, MsgType.WORD_WRITE_ACK
         else:
-            home, slice_, l2line, t = self._request_at_home(core, line, req_msg, now, result)
-            reply_t = None
+            req_msg, reply_msg = MsgType.READ_REQ, MsgType.LINE_REPLY
+        slice_, l2line, t, reply_t = self._request_reply(
+            core, line, req_msg, reply_msg, now, result
+        )
 
         flags = self._history[core].get(line, 0)
         if is_write:
             # Classify against the copy the writer holds RIGHT NOW, before
-            # _write_through refreshes or discards it: a write to a held
+            # _downgrade_settle refreshes or discards it: a write to a held
             # fresh copy is the upgrade case (store to a read-only line), a
             # write to a held stale copy is a sharing event (another core's
             # write killed the copy), and a copy-less write falls back to
@@ -208,23 +203,19 @@ class NeatEngine(ProtocolEngineBase):
                 result.miss_type = MissType.UPGRADE if fresh else MissType.SHARING
             else:
                 result.miss_type = self._classify_miss(flags, upgrade=False, serviced_remote=True)
-            if reply_t is None:
-                reply_t = self._write_through(core, line, word, l2line, home, slice_, t)
-            else:
-                old_version = self._line_version.get(line, 0)
-                self._word_service_bookkeeping(core, True, line, word, l2line, slice_)
-                self._downgrade_settle(core, line, word, old_version, reply_t)
+            # Eager self-downgrade: the word is written at the home (no
+            # allocate).  The bookkeeping issues this write's token (verify
+            # mode); _downgrade_settle refreshes the writer's copy with it.
+            self._word_service_bookkeeping(core, True, line, word, l2line, slice_)
+            self._downgrade_settle(core, line, word, reply_t)
             result.remote = True
             # History is re-read rather than taken from the pre-service
-            # flags: _write_through may have self-invalidated a stale copy,
-            # setting _LAST_REMOVAL_INVAL.
+            # flags: _downgrade_settle may have self-invalidated a stale
+            # copy, setting _LAST_REMOVAL_INVAL.
             self._history[core][line] = self._history[core].get(line, 0) | _EVER_REMOTE
             l2line.busy_until = t
         else:
-            if reply_t is None:
-                reply_t = self._read_line(core, line, word, l2line, home, slice_, t)
-            else:
-                self._fill_line(core, line, word, l2line, slice_, reply_t)
+            self._fill_line(core, line, word, l2line, slice_, reply_t)
             result.miss_type = self._classify_miss(flags, upgrade=False, serviced_remote=False)
             self._history[core][line] = flags | _EVER_CACHED
             # Reads take no home-side ownership: pipeline through the bank.
@@ -239,30 +230,18 @@ class NeatEngine(ProtocolEngineBase):
         return result
 
     # ------------------------------------------------------------------
-    def _write_through(
-        self, core: int, line: int, word: int, l2line, home: int, slice_, t: float
-    ) -> float:
-        """Eager self-downgrade: the word is written at the home (no allocate).
+    def _downgrade_settle(self, core: int, line: int, word: int, reply_t: float) -> None:
+        """Version bump + own-copy refresh of an eager write-through.
 
         A resident *fresh* copy is refreshed in place so the writer's own
         reads keep hitting; a stale resident copy is discarded (refreshing
         one word of it would revalidate its other, stale words).  Every
         other core's copy goes stale and self-invalidates on its next use.
+        Runs after the reply leg is reserved; nothing here touches the
+        network before ``reply_t``.
         """
-        old_version = self._line_version.get(line, 0)
-        # _service_word_at_home issues this write's token (verify mode);
-        # self._write_token below refreshes the writer's own copy with it.
-        reply_t = self._service_word_at_home(core, True, line, word, l2line, home, slice_, t)
-        return self._downgrade_settle(core, line, word, old_version, reply_t)
-
-    def _downgrade_settle(
-        self, core: int, line: int, word: int, old_version: int, reply_t: float
-    ) -> float:
-        """Version bump + own-copy refresh half of :meth:`_write_through`,
-        split out so the chained fast path (reply already reserved) can run
-        it after the bookkeeping; nothing here touches the network before
-        ``reply_t``, so the split cannot change results."""
         self.write_throughs += 1
+        old_version = self._line_version.get(line, 0)
         self._line_version[line] = old_version + 1
         l1 = self.l1d[core]
         entry = l1.lookup(line)
@@ -277,20 +256,8 @@ class NeatEngine(ProtocolEngineBase):
                 self._copy_version[core][line] = old_version + 1
             else:
                 self._self_invalidate(core, line, reply_t)
-        return reply_t
 
     # ------------------------------------------------------------------
-    def _read_line(
-        self, core: int, line: int, word: int, l2line, home: int, slice_, t: float
-    ) -> float:
-        """Read miss: fetch the full line, install it clean SHARED."""
-        path = self._net_paths[home * self._num_tiles + core]
-        if path is None:
-            path = self._net_resolve(home, core)
-        reply_t = self._net_traverse(path, t, self._net_flits[int(MsgType.LINE_REPLY)])
-        self._fill_line(core, line, word, l2line, slice_, reply_t)
-        return reply_t
-
     def _install_line(self, core: int, line: int, l2line, slice_, reply_t: float) -> None:
         """Install the fetched line clean SHARED (counter half of the
         fetch, shared by :meth:`_fill_line` and the buffered-write
@@ -307,8 +274,9 @@ class NeatEngine(ProtocolEngineBase):
     def _fill_line(
         self, core: int, line: int, word: int, l2line, slice_, reply_t: float
     ) -> None:
-        """Fill bookkeeping of :meth:`_read_line` minus the reply
-        traversal (the chained fast path reserves that leg itself)."""
+        """Read miss: install the fetched line clean SHARED at the current
+        line version and read the word.  Runs after the reply leg is
+        reserved: ``reply_t`` timestamps the L1 fill."""
         self._install_line(core, line, l2line, slice_, reply_t)
         self._copy_version[core][line] = self._line_version.get(line, 0)
         self.energy.l1d_reads += 1
@@ -352,20 +320,9 @@ class NeatEngine(ProtocolEngineBase):
             result.miss_type = self._classify_miss(flags, upgrade=False, serviced_remote=False)
         l1.misses += 1
         self.energy.l1d_tag_accesses += 1
-        probe = self._chain_probe(core, line)
-        if probe is not None:
-            home, slice_, l2line = probe
-            t, reply_t = self._chain_request_reply(
-                core, home, l2line, slice_, MsgType.READ_REQ, MsgType.LINE_REPLY, now, result
-            )
-        else:
-            home, slice_, l2line, t = self._request_at_home(
-                core, line, MsgType.READ_REQ, now, result
-            )
-            path = self._net_paths[home * self._num_tiles + core]
-            if path is None:
-                path = self._net_resolve(home, core)
-            reply_t = self._net_traverse(path, t, self._net_flits[int(MsgType.LINE_REPLY)])
+        slice_, l2line, t, reply_t = self._request_reply(
+            core, line, MsgType.READ_REQ, MsgType.LINE_REPLY, now, result
+        )
         self._install_line(core, line, l2line, slice_, reply_t)
         versions[line] = self._line_version.get(line, 0)
         self.energy.l1d_writes += 1

@@ -245,8 +245,8 @@ class VictimReplicationEngine(DirectoryEngine):
 
     # ------------------------------------------------------------------
     # The requester's own replica dies when it receives a private copy.
-    # (_grant_private, not _service_private: both the general path and the
-    # chained fast path dispatch through the grant bookkeeping.)
+    # (_grant_private: every private miss runs it once its reply leg is
+    # reserved, chained or not.)
     # ------------------------------------------------------------------
     def _grant_private(self, core, is_write, line, word, l2line, slice_, upgrade, reply_t):
         own = self.l2[core].lookup(line)

@@ -74,6 +74,27 @@ class TestCoherenceCorruption:
         with pytest.raises(CoherenceError, match="but L1 empty"):
             engine.access(2, True, BASE, 300.0)
 
+    def test_exclusive_owner_missing_l1_copy_raises(self):
+        engine = ProtocolEngine(small_arch(), baseline_protocol(), verify=True)
+        share_page(engine)
+        engine.access(0, False, BASE, 100.0)  # sole reader: an E grant
+        assert engine.directory_entry(BASE // LINE).owner == 0
+        # Corrupt: the owner's copy vanishes without the directory noticing.
+        engine.l1d[0].remove(BASE // LINE)
+        with pytest.raises(CoherenceError, match="owner 0 .* has no L1 copy"):
+            engine.access(1, False, BASE, 200.0)  # needs a write-back
+
+    def test_l1_eviction_of_line_absent_from_l2_raises(self):
+        engine = ProtocolEngine(small_arch(), baseline_protocol())
+        line = BASE // LINE
+        engine.access(0, False, BASE, 0.0)
+        # Corrupt: the inclusive L2 loses the line while core 0 holds it.
+        engine.l2[engine._home_of_line[line]].remove(line)
+        with pytest.raises(CoherenceError, match="inclusion violation"):
+            # Two conflicting fills evict BASE from its 2-way L1 set.
+            engine.access(0, False, BASE + 8 * LINE, 100.0)
+            engine.access(0, False, BASE + 16 * LINE, 200.0)
+
     def test_swmr_violation_detected(self):
         engine = ProtocolEngine(small_arch(), baseline_protocol(), verify=True)
         engine.access(0, True, BASE, 0.0)

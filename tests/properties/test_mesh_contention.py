@@ -213,6 +213,10 @@ class TestReferenceEquivalence:
 
     @BOTH_IMPLS
     def test_unicast_equals_traverse_path_on_resolved_route(self, impl):
+        """Including ``src == dst``: the same-tile message takes the empty
+        route (instant, uncounted), and that route is memoized like any
+        other - the compiled scheduler's native word path declines on an
+        unresolved route."""
         a = make_net(impl)
         b = make_net(impl)
         t = 0.0
@@ -220,14 +224,15 @@ class TestReferenceEquivalence:
             for dst in range(16):
                 via_unicast = a.unicast(src, dst, MsgType.LINE_REPLY, t)
                 path = b.resolve_path(src, dst)
-                via_path = (
-                    b.traverse_path(path, t, b.flits_for(MsgType.LINE_REPLY))
-                    if src != dst
-                    else t
-                )
+                via_path = b.traverse_path(path, t, b.flits_for(MsgType.LINE_REPLY))
                 assert via_unicast == via_path
+                if src == dst:
+                    assert via_unicast == t
                 t += 3.0
         assert a.occupancy_map() == b.occupancy_map()
+        assert twin_counters(a) == twin_counters(b)
+        for tile in range(16):
+            assert a.paths[tile * 16 + tile] is not None
 
 
 def twin_counters(net: MeshNetwork) -> tuple:
@@ -242,9 +247,9 @@ def twin_counters(net: MeshNetwork) -> tuple:
 class TestChainAndBatchSeams:
     """``traverse_chain`` and ``traverse_many`` are the protocol engines'
     request -> home -> reply and invalidation-round entries.  Each must
-    equal the ``traverse_path`` sequence it stands for, on both
-    implementations - including same-tile (empty) legs, lines still busy
-    when the request arrives, and contention from earlier traffic."""
+    equal the ``unicast`` sequence it stands for, on both implementations
+    - including same-tile (empty) legs, lines still busy when the request
+    arrives, and contention from earlier traffic."""
 
     @BOTH_IMPLS
     @settings(max_examples=60, deadline=None)
@@ -253,24 +258,26 @@ class TestChainAndBatchSeams:
         chained = make_net(impl)
         composed = make_net(impl)
         tiles = st.integers(0, 15)
-        flit_sizes = st.sampled_from((1, 2, 9))
+        messages = st.sampled_from(list(MsgType))
         t0 = 0.0
         for _ in range(data.draw(st.integers(1, 40))):
-            src, home = data.draw(tiles), data.draw(tiles)
+            src = data.draw(tiles)
             dst = data.draw(st.one_of(st.just(src), tiles))
-            f1, f2 = data.draw(flit_sizes), data.draw(flit_sizes)
+            msg1, msg2 = data.draw(messages), data.draw(messages)
             t0 += data.draw(st.floats(0.0, 2.5 * EPOCH_CYCLES))
             # Busy lines land both before and after the request's arrival.
             busy = data.draw(st.one_of(st.just(0.0), st.floats(t0, t0 + 120.0)))
             gap = float(data.draw(st.sampled_from((0, 1, 7))))
-            got = chained.traverse_chain(
-                chained.resolve_path(src, home), f1, t0, busy, gap,
-                chained.resolve_path(home, dst), f2,
-            )
-            t1 = composed.traverse_path(composed.resolve_path(src, home), t0, f1)
+            # Earlier traffic contends with the chain's links.
+            if data.draw(st.booleans()):
+                other = data.draw(tiles)
+                chained.unicast(other, dst, msg1, t0)
+                composed.unicast(other, dst, msg1, t0)
+            got = chained.traverse_chain(src, dst, msg1, t0, busy, gap, msg2)
+            t1 = composed.unicast(src, dst, msg1, t0)
             start = busy if busy > t1 else t1
-            t2 = composed.traverse_path(composed.resolve_path(home, dst), start + gap, f2)
-            assert got == (t1, t2), (src, home, dst, f1, f2, t0, busy, gap)
+            t2 = composed.unicast(dst, src, msg2, start + gap)
+            assert got == (t1, t2), (src, dst, msg1, msg2, t0, busy, gap)
         assert twin_counters(chained) == twin_counters(composed)
 
     @BOTH_IMPLS
@@ -282,17 +289,12 @@ class TestChainAndBatchSeams:
         tiles = st.integers(0, 15)
         t_head = 0.0
         for _ in range(data.draw(st.integers(1, 20))):
-            home = data.draw(tiles)
-            # Targets may include the home itself: an empty path in the mix.
+            src = data.draw(tiles)
+            # Targets may include the source itself: an empty route in the mix.
             targets = data.draw(st.lists(tiles, min_size=0, max_size=8))
-            flits = data.draw(st.sampled_from((1, 2, 9)))
+            msg = data.draw(st.sampled_from(list(MsgType)))
             t_head += data.draw(st.floats(0.0, 2.5 * EPOCH_CYCLES))
-            got = batched.traverse_many(
-                [batched.resolve_path(home, c) for c in targets], t_head, flits
-            )
-            want = [
-                looped.traverse_path(looped.resolve_path(home, c), t_head, flits)
-                for c in targets
-            ]
-            assert got == want, (home, targets, flits, t_head)
+            got = batched.traverse_many(src, targets, msg, t_head)
+            want = [looped.unicast(src, c, msg, t_head) for c in targets]
+            assert got == want, (src, targets, msg, t_head)
         assert twin_counters(batched) == twin_counters(looped)
