@@ -4,8 +4,10 @@
 on first use (see :mod:`repro.accel.build`) and hands out two kernel
 classes from it:
 
-* ``MeshKernel`` (phase 1): the epoch ring-buffer bandwidth accounting
-  behind ``MeshNetwork.traverse_path``;
+* ``MeshKernel`` (phase 1): every ``MeshNetwork`` entry point by tile id
+  and message type - routes, flit table, traffic counters and the epoch
+  ring-buffer bandwidth accounting.  ``MeshNetwork`` forwards to it or,
+  without it, to the pure-Python twin in :mod:`repro.network.mesh`;
 * ``SchedKernel`` (phase 2): the simulator's columnar record walk -
   cursors, min-clock heap, the inline L1-hit fast path and the native
   shapes (Neat's version-gated read hit, the DLS resident word access).
@@ -71,6 +73,13 @@ _state: tuple[Any, dict] | None = None
 _kernels: dict[str, tuple[Any, str | None]] = {}
 
 
+#: Versions of the kernels' method surfaces that this package drives.  A
+#: cached artifact built from other sources reports another version and is
+#: refused like any constant mismatch.
+MESH_ABI_VERSION = 2
+SCHED_ABI_VERSION = 3
+
+
 def _mesh_constants() -> dict[str, int]:
     from repro.network import mesh
 
@@ -79,12 +88,14 @@ def _mesh_constants() -> dict[str, int]:
         "EPOCH_SHIFT": mesh.EPOCH_SHIFT,
         "WINDOW_EPOCHS": mesh.WINDOW_EPOCHS,
         "SLOT_SHIFT": mesh._SLOT_SHIFT,
+        "ABI_VERSION": MESH_ABI_VERSION,
     }
 
 
 def _sched_constants() -> dict[str, int]:
     from repro.common import addr
     from repro.common.types import MissType, Op
+    from repro.network.messages import MsgType
     from repro.protocol import base
 
     return {
@@ -106,6 +117,12 @@ def _sched_constants() -> dict[str, int]:
         "EVER_CACHED": base._EVER_CACHED,
         "LAST_REMOVAL_INVAL": base._LAST_REMOVAL_INVAL,
         "EVER_REMOTE": base._EVER_REMOTE,
+        # The native DLS word path's message types (its chain legs).
+        "MSG_READ_REQ": int(MsgType.READ_REQ),
+        "MSG_WRITE_REQ": int(MsgType.WRITE_REQ),
+        "MSG_WORD_REPLY": int(MsgType.WORD_REPLY),
+        "MSG_WORD_WRITE_ACK": int(MsgType.WORD_WRITE_ACK),
+        "SCHED_ABI_VERSION": SCHED_ABI_VERSION,
     }
 
 

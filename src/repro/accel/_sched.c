@@ -30,14 +30,15 @@
  *   - the DLS word path (the `word` descriptor): a load/store to a line
  *     resident at its word home runs the resident branch of
  *     DLSEngine.access natively - both legs through the mesh kernel's
- *     traverse_links, serialization, L2 bookkeeping, history flags and
- *     miss typing.  It declines (and calls access) whenever a Python-side
- *     effect could be due: an unclassified page, a private page owned by
- *     another core, a non-resident line, an unresolved route.  It re-reads
- *     the page table, the set dict and the route memo every record and
- *     holds no borrowed pointer across any Python call, so it needs no
- *     mirror and no observer.  Its order-independent integer counters
- *     (energy, slice, miss-type and mesh traffic counts) accumulate
+ *     chain entry (repro_mesh_chain, by tile id and message type; the
+ *     mesh kernel resolves the route and counts the traffic itself),
+ *     serialization, L2 bookkeeping, history flags and miss typing.  It
+ *     declines (and calls access) whenever a Python-side effect could be
+ *     due: an unclassified page, a private page owned by another core, a
+ *     non-resident line.  It re-reads the page table and the set dict
+ *     every record and holds no borrowed pointer across any Python call,
+ *     so it needs no mirror and no observer.  Its order-independent
+ *     integer counters (energy, slice and miss-type counts) accumulate
  *     natively and are folded into the Python objects by finish().
  *
  * The kernel exits to Python only on cold events: an access() miss calls
@@ -98,12 +99,17 @@
 #define K_EVER_CACHED 1
 #define K_LAST_REMOVAL_INVAL 2
 #define K_EVER_REMOTE 4
-#define K_SCHED_ABI_VERSION 2
+#define K_MSG_READ_REQ 0
+#define K_MSG_WRITE_REQ 1
+#define K_MSG_WORD_REPLY 4
+#define K_MSG_WORD_WRITE_ACK 5
+#define K_SCHED_ABI_VERSION 3
 
 /* Mesh kernel entry points (_kernel.c, same shared object). */
 extern int repro_mesh_check(PyObject *obj);
-extern int repro_mesh_traverse(PyObject *kernel, Py_ssize_t handle,
-                               double t_head, long long flits, double *tail);
+extern int repro_mesh_chain(PyObject *kernel, long long src, long long dst,
+                            int msg1, double t0, double busy, double gap,
+                            int msg2, double *t1, double *t2);
 
 #define MAP_EMPTY (-1)
 #define MAP_TOMBSTONE (-2)
@@ -185,8 +191,6 @@ typedef struct {
     int has_word;
     PyObject *w_engine;          /* strong: energy/miss_stats read at fold */
     PyObject *w_mesh;            /* strong: the network's MeshKernel */
-    PyObject *w_network;         /* strong: traffic counters folded here */
-    PyObject *w_paths;           /* strong: network.paths route memo */
     PyObject *w_pages;           /* strong: page table {page: (kind, owner)} */
     PyObject *w_private;         /* strong: PageKind.PRIVATE */
     PyObject *w_shared;          /* strong: PageKind.SHARED */
@@ -199,7 +203,6 @@ typedef struct {
     long long w_words_per_line;
     long long w_set_mask;
     double w_l2_latency;
-    long long w_flits[4];        /* READ_REQ, WRITE_REQ, WORD_REPLY, ACK */
     Py_ssize_t off_l2_last_use, off_l2_last_access, off_l2_dirty;
     Py_ssize_t off_l2_dirty_words, off_l2_busy;
     /* Natively accumulated counters, folded in by finish(). */
@@ -207,7 +210,6 @@ typedef struct {
     long long *w_slice_reads;
     long long *w_slice_writes;
     long long w_miss[K_MISS_TYPES];
-    long long w_messages, w_flits_sent, w_link_traversals;
 
     /* Retirements and exits by reason (telemetry; RunStats-neutral). */
     long long word_r, word_w;    /* records retired by the word path */
@@ -607,37 +609,6 @@ neat_copy_fresh(SchedObject *k, long long core, long long line)
     return have == want;
 }
 
-/* Read a (hops, handle) route descriptor; 0 = unresolved (decline). */
-static int
-route_of(PyObject *path, long long *hops, Py_ssize_t *handle)
-{
-    if (!PyTuple_Check(path) || PyTuple_GET_SIZE(path) < 5) {
-        return 0;
-    }
-    *hops = PyLong_AsLongLong(PyTuple_GET_ITEM(path, 1));
-    *handle = PyLong_AsSsize_t(PyTuple_GET_ITEM(path, 4));
-    if (PyErr_Occurred()) {
-        return -1;
-    }
-    return 1;
-}
-
-/* One message leg, as MeshNetwork.traverse_path with the compiled kernel:
- * an empty route arrives instantly and is not counted. */
-static int
-word_leg(SchedObject *k, long long hops, Py_ssize_t handle, double t_head,
-         long long flits, double *tail)
-{
-    if (hops == 0) {
-        *tail = t_head;
-        return 0;
-    }
-    k->w_link_traversals += flits * hops;
-    k->w_messages += 1;
-    k->w_flits_sent += flits;
-    return repro_mesh_traverse(k->w_mesh, handle, t_head, flits, tail);
-}
-
 static int
 set_slot(PyObject *obj, Py_ssize_t off, PyObject *value)
 {
@@ -695,20 +666,9 @@ word_access(SchedObject *k, long long core, int is_write, long long address,
     PyObject *bucket = PyList_GET_ITEM(sets, (Py_ssize_t)(line & k->w_set_mask));
     PyObject *l2line = PyDict_GetItemWithError(bucket, line_o);
     PyObject *hist = PyList_GET_ITEM(k->w_history, (Py_ssize_t)core);
-    long long hops1, hops2;
-    Py_ssize_t handle1, handle2;
     if (l2line == NULL || Py_TYPE(l2line) != (PyTypeObject *)k->w_line_type
         || !PyDict_Check(hist)) {
         goto done;  /* L2 miss: off-chip fill */
-    }
-    rc = route_of(PyList_GET_ITEM(k->w_paths, (Py_ssize_t)(core * num_tiles + home)),
-                  &hops1, &handle1);
-    if (rc > 0) {
-        rc = route_of(PyList_GET_ITEM(k->w_paths, (Py_ssize_t)(home * num_tiles + core)),
-                      &hops2, &handle2);
-    }
-    if (rc <= 0) {
-        goto done;  /* a route is still unresolved */
     }
     PyObject *busy_o = *SLOT(l2line, k->off_l2_busy);
     PyObject *mask_o = *SLOT(l2line, k->off_l2_dirty_words);
@@ -724,12 +684,11 @@ word_access(SchedObject *k, long long core, int is_write, long long address,
 
     /* Retiring.  Request and reply legs: MeshNetwork.traverse_chain. */
     double t1, reply_t;
-    if (word_leg(k, hops1, handle1, now, k->w_flits[is_write ? 1 : 0], &t1) < 0) {
-        goto fail;
-    }
-    double start = busy > t1 ? busy : t1;
-    if (word_leg(k, hops2, handle2, start + k->w_l2_latency,
-                 k->w_flits[is_write ? 3 : 2], &reply_t) < 0) {
+    if (repro_mesh_chain(k->w_mesh, core, home,
+                         is_write ? K_MSG_WRITE_REQ : K_MSG_READ_REQ, now,
+                         busy, k->w_l2_latency,
+                         is_write ? K_MSG_WORD_WRITE_ACK : K_MSG_WORD_REPLY,
+                         &t1, &reply_t) < 0) {
         goto fail;
     }
     double wait = 0.0;
@@ -905,12 +864,6 @@ fold_word_counters(SchedObject *k)
         }
         k->w_slice_hits[h] = k->w_slice_reads[h] = k->w_slice_writes[h] = 0;
     }
-    if (add_attr(k->w_network, "messages_sent", k->w_messages) < 0
-        || add_attr(k->w_network, "flits_sent", k->w_flits_sent) < 0
-        || add_attr(k->w_network, "link_flit_traversals", k->w_link_traversals) < 0) {
-        return -1;
-    }
-    k->w_messages = k->w_flits_sent = k->w_link_traversals = 0;
     k->has_word = 0;  /* folded once; the kernel is done */
     return 0;
 }
@@ -988,8 +941,6 @@ Sched_dealloc(SchedObject *k)
     Py_XDECREF(k->v_lines);
     Py_XDECREF(k->w_engine);
     Py_XDECREF(k->w_mesh);
-    Py_XDECREF(k->w_network);
-    Py_XDECREF(k->w_paths);
     Py_XDECREF(k->w_pages);
     Py_XDECREF(k->w_private);
     Py_XDECREF(k->w_shared);
@@ -1108,20 +1059,16 @@ adopt_word_path(SchedObject *k, PyObject *word)
     Py_ssize_t tiles = (Py_ssize_t)k->num_cores;
     PyObject *engine = desc_get(word, "engine");
     PyObject *mesh = desc_get(word, "mesh");
-    PyObject *network = desc_get(word, "network");
     PyObject *pages = desc_get(word, "pages");
     PyObject *private_ = desc_get(word, "private");
     PyObject *shared = desc_get(word, "shared");
     PyObject *line_type = desc_get(word, "line_type");
-    PyObject *flits = desc_get(word, "flits");
-    if (engine == NULL || mesh == NULL || network == NULL || pages == NULL
-        || private_ == NULL || shared == NULL || line_type == NULL
-        || flits == NULL) {
+    if (engine == NULL || mesh == NULL || pages == NULL || private_ == NULL
+        || shared == NULL || line_type == NULL) {
         return -1;
     }
     if (!repro_mesh_check(mesh) || !PyDict_Check(pages)
-        || !PyType_Check(line_type) || !PyTuple_Check(flits)
-        || PyTuple_GET_SIZE(flits) != 4) {
+        || !PyType_Check(line_type)) {
         PyErr_SetString(PyExc_TypeError, "malformed word-path descriptor");
         return -1;
     }
@@ -1137,21 +1084,13 @@ adopt_word_path(SchedObject *k, PyObject *word)
         return -1;
     }
     k->w_l2_latency = (double)l2_latency;
-    for (Py_ssize_t f = 0; f < 4; f++) {
-        k->w_flits[f] = PyLong_AsLongLong(PyTuple_GET_ITEM(flits, f));
-        if (k->w_flits[f] == -1 && PyErr_Occurred()) {
-            return -1;
-        }
-    }
     k->w_engine = Py_NewRef(engine);
     k->w_mesh = Py_NewRef(mesh);
-    k->w_network = Py_NewRef(network);
     k->w_pages = Py_NewRef(pages);
     k->w_private = Py_NewRef(private_);
     k->w_shared = Py_NewRef(shared);
     k->w_line_type = Py_NewRef(line_type);
-    if (desc_list(word, "paths", tiles * tiles, &k->w_paths) < 0
-        || desc_list(word, "slices", tiles, &k->w_slices) < 0
+    if (desc_list(word, "slices", tiles, &k->w_slices) < 0
         || desc_list(word, "stores", tiles, &k->w_stores) < 0
         || desc_list(word, "sets", tiles, &k->w_sets) < 0
         || desc_list(word, "history", tiles, &k->w_history) < 0) {
@@ -1949,6 +1888,11 @@ repro_sched_register(PyObject *mod)
         || PyModule_AddIntConstant(mod, "LAST_REMOVAL_INVAL",
                                    K_LAST_REMOVAL_INVAL) < 0
         || PyModule_AddIntConstant(mod, "EVER_REMOTE", K_EVER_REMOTE) < 0
+        || PyModule_AddIntConstant(mod, "MSG_READ_REQ", K_MSG_READ_REQ) < 0
+        || PyModule_AddIntConstant(mod, "MSG_WRITE_REQ", K_MSG_WRITE_REQ) < 0
+        || PyModule_AddIntConstant(mod, "MSG_WORD_REPLY", K_MSG_WORD_REPLY) < 0
+        || PyModule_AddIntConstant(mod, "MSG_WORD_WRITE_ACK",
+                                   K_MSG_WORD_WRITE_ACK) < 0
         || PyModule_AddIntConstant(mod, "SCHED_ABI_VERSION",
                                    K_SCHED_ABI_VERSION) < 0) {
         return -1;

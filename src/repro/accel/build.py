@@ -14,7 +14,16 @@ invalidate an artifact:
   any kernel source - not just the first one - rebuilds on the next
   import;
 * the **compiler id** (resolved binary + its ``--version`` banner), so a
-  toolchain swap rebuilds rather than trusting a stale artifact.
+  toolchain swap rebuilds rather than trusting a stale artifact;
+* the **build mode**: ``REPRO_ACCEL_SANITIZE=1`` compiles with
+  AddressSanitizer and UndefinedBehaviorSanitizer into an artifact of its
+  own name, so sanitized and plain builds never overwrite each other.  A
+  sanitized artifact loads only into an interpreter started with the ASan
+  runtime preloaded, for example::
+
+      LD_PRELOAD=$(gcc -print-file-name=libasan.so) \
+      ASAN_OPTIONS=detect_leaks=0 REPRO_ACCEL_SANITIZE=1 \
+      PYTHONPATH=src python -m pytest tests/accel
 
 Every failure mode - no compiler, no Python headers, cc exits non-zero,
 the built module will not import or disagrees with the mesh constants -
@@ -56,6 +65,9 @@ NO_ACCEL_ENV = "REPRO_NO_ACCEL"
 CACHE_ENV = "REPRO_ACCEL_CACHE"
 #: Override the compiler (same contract as make's ``CC``).
 CC_ENV = "CC"
+#: Build (and load) the sanitizer-instrumented artifact instead.
+SANITIZE_ENV = "REPRO_ACCEL_SANITIZE"
+SANITIZE_FLAGS = ("-fsanitize=address,undefined", "-fno-omit-frame-pointer")
 
 _CC_CANDIDATES = ("cc", "gcc", "clang")
 
@@ -117,11 +129,25 @@ def _resolve_sources(sources) -> tuple[Path, ...]:
     return tuple(Path(s) for s in sources)
 
 
+def sanitize() -> bool:
+    """Whether this process builds and loads the sanitized artifact."""
+    return bool(os.environ.get(SANITIZE_ENV))
+
+
+def compile_flags() -> tuple[str, ...]:
+    """Code-generation flags of the current build mode."""
+    return ("-O2", "-fPIC", "-shared", *(SANITIZE_FLAGS if sanitize() else ()))
+
+
 def artifact_paths(sources=None) -> tuple[Path, Path]:
-    """The shared object and its build-metadata sidecar in the cache."""
+    """The shared object and its build-metadata sidecar in the cache.
+
+    The sanitized build mode has its own file names: the same module
+    name, so it imports identically, but a separate cache entry."""
     suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
     directory = cache_dir()
-    return directory / f"{MODULE_NAME}{suffix}", directory / f"{MODULE_NAME}.json"
+    stem = f"{MODULE_NAME}.asan" if sanitize() else MODULE_NAME
+    return directory / f"{stem}{suffix}", directory / f"{stem}.json"
 
 
 def _fingerprint_map(sources: tuple[Path, ...]) -> dict[str, dict]:
@@ -155,6 +181,7 @@ def _needs_build(
         != {name: fp.get("sha256") for name, fp in recorded.items()}
         or meta.get("compiler_id") != cc_id
         or meta.get("abi") != sysconfig.get_config_var("EXT_SUFFIX")
+        or meta.get("flags") != list(compile_flags())
     )
 
 
@@ -209,9 +236,7 @@ def build_artifact(sources=None) -> tuple[Path | None, dict]:
         tmp = artifact.with_suffix(artifact.suffix + f".tmp{os.getpid()}")
         cmd = [
             cc,
-            "-O2",
-            "-fPIC",
-            "-shared",
+            *compile_flags(),
             f"-I{include}",
             *(str(s) for s in compile_units),
             "-o",
@@ -219,7 +244,7 @@ def build_artifact(sources=None) -> tuple[Path | None, dict]:
         ]
         platinclude = sysconfig.get_paths().get("platinclude")
         if platinclude and platinclude != include:
-            cmd.insert(5, f"-I{platinclude}")
+            cmd.insert(cmd.index(f"-I{include}") + 1, f"-I{platinclude}")
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
         if proc.returncode != 0:
             tmp.unlink(missing_ok=True)
@@ -233,6 +258,7 @@ def build_artifact(sources=None) -> tuple[Path | None, dict]:
                     "sources": _fingerprint_map(source_paths),
                     "compiler_id": cc_id,
                     "abi": sysconfig.get_config_var("EXT_SUFFIX"),
+                    "flags": list(compile_flags()),
                     "command": cmd,
                 },
                 indent=2,

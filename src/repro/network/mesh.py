@@ -27,26 +27,24 @@ are read and written there.  The combination (slots + overflow) always
 encodes exactly the same epoch -> occupancy map as the flat-dict model it
 replaces - same reservations, same departure times, bit-identical runs.
 
-Routes are pre-resolved to tuples of dense link ids (``resolve_path``) and
-a whole multi-hop reservation happens in one call (``traverse_path``).
-Callers address messages by tile id and message type only: ``unicast``
-(one leg), ``traverse_chain`` (a request and its reply), ``traverse_many``
-(one message per target) and ``broadcast`` each probe the route memo
-themselves, so no other module knows its format.
+**Kernels.**  Everything per message - route resolution and the route
+memo, the flit table, the ring buffer, the traffic counters and the calls
+per entry point - lives in a *mesh kernel*.  Callers address messages by
+tile id and message type only: ``unicast`` (one leg), ``traverse_chain``
+(a request and its reply), ``traverse_many`` (one message per target) and
+``broadcast``.  ``MeshNetwork``'s methods are one-line forwards to its
+kernel: the compiled ``MeshKernel`` when :mod:`repro.accel` can build its
+C extension (and ``REPRO_NO_ACCEL``/``REPRO_NO_ACCEL_MESH`` are unset),
+else :class:`_PyMeshKernel` below, a pure-Python twin with the same
+methods.  The twin is the ungated fallback and the semantic reference:
+the compiled kernel replicates it bit for bit (same per-link float
+accumulation, same recycle/overflow hand-off), pinned by the contention
+property tests run against both (DESIGN.md section 12).  Only the
+epoch-accounting link model is compiled; the naive and no-contention
+ablations always run the twin.
 
 The mesh also counts router and link flit traversals, which the energy model
 converts into dynamic energy (DSENT-like, Section 4.2).
-
-**Compiled kernel.**  When :mod:`repro.accel` can build its C extension
-(and ``REPRO_NO_ACCEL`` is unset), the epoch-accounting state - slot
-table, overflow map, recycle counter - lives inside a native ``MeshKernel``
-and ``traverse_path`` is a single FFI call; ``traverse_chain`` /
-``traverse_many`` let the protocol engines reserve whole request->reply
-chains per FFI crossing.  The pure-Python walk below remains the ungated
-fallback and the semantic reference: the kernel replicates it bit for bit
-(same per-link float accumulation, same recycle/overflow hand-off), pinned
-by the contention property tests run against both implementations
-(DESIGN.md section 12).
 """
 
 from __future__ import annotations
@@ -79,156 +77,89 @@ _SLOT_STRIDE = 1 << _SLOT_SHIFT
 _SLOT_OCC_MASK = _SLOT_STRIDE - 1
 assert EPOCH_CYCLES < _SLOT_STRIDE
 
-
-class _KernelOverflow:
-    """Dict facade over the compiled kernel's overflow hash map.
-
-    Kept API-compatible with the subset of ``dict`` the rest of the code
-    (and the property tests) use on ``MeshNetwork._overflow``: truthiness,
-    ``len``, ``items``/``values`` for the introspection methods, ``get``
-    for debugging.  Stored occupancies are never zero, so absent-vs-zero
-    is not ambiguous.
-    """
-
-    __slots__ = ("_kernel",)
-
-    def __init__(self, kernel) -> None:
-        self._kernel = kernel
-
-    def __len__(self) -> int:
-        return self._kernel.overflow_len()
-
-    def __bool__(self) -> bool:
-        return self._kernel.overflow_len() > 0
-
-    def items(self) -> list[tuple[int, int]]:
-        return self._kernel.overflow_items()
-
-    def values(self) -> list[int]:
-        return [value for _key, value in self._kernel.overflow_items()]
-
-    def get(self, key: int, default: int = 0) -> int:
-        value = self._kernel.overflow_get(key)
-        return value if value else default
+#: The kernels' message entry points, as counted per call
+#: (``calls_<entry>``) and emitted by the simulator's telemetry as
+#: ``mesh.crossings.<entry>``.
+CROSSING_ENTRIES = ("unicast", "chain", "many", "broadcast")
 
 
-class MeshNetwork:
-    """Timing + traffic model for the electrical 2-D mesh.
+class _PyMeshKernel:
+    """Pure-Python twin of the compiled ``MeshKernel``: the same methods,
+    counters and results, bit for bit (DESIGN.md section 12).
 
-    Slotted: the traffic counters and ring-buffer structures are read on
-    every message of the simulation, and slot loads beat instance-dict
-    lookups on the hot path.
+    Owns the route memo, the flit table, the ring buffer (``slots`` list
+    plus ``overflow`` dict), the traffic counters and the per-entry call
+    counters of one :class:`MeshNetwork`.  Also runs the naive and
+    no-contention link models, which have no compiled form.  Slotted: the
+    counters and the ring buffer are read on every message.
     """
 
     __slots__ = (
-        "arch",
         "topology",
-        "model_contention",
-        "naive_contention",
-        "_mode",
-        "_num_tiles",
+        "num_tiles",
         "num_links",
+        "link_bits",
+        "_mode",
         "_dense_link",
-        "_link_bits",
-        "_slots",
-        "_overflow",
+        "slots",
+        "overflow",
         "_link_free_at",
         "_routes",
         "_bcast_edges",
-        "_flits_table",
-        "_hop_latency",
-        "_kernel",
-        "_recycles",
+        "_flits",
+        "_hop",
+        "slot_recycles",
         "link_flit_traversals",
         "messages_sent",
         "flits_sent",
+        "calls_unicast",
+        "calls_chain",
+        "calls_many",
+        "calls_broadcast",
     )
 
     def __init__(
-        self,
-        arch: ArchConfig,
-        model_contention: bool | None = None,
-        accel: bool | None = None,
+        self, topology: Mesh2D, mode: int, hop_latency: int, flits: tuple[int, ...]
     ) -> None:
-        self.arch = arch
-        self.topology = Mesh2D(arch.num_cores)
-        #: ``model_contention`` overrides ``arch.link_model`` when given
-        #: (kept for tests that construct networks directly).
-        if model_contention is None:
-            self.model_contention = arch.link_model != "none"
-        else:
-            self.model_contention = model_contention
-        self.naive_contention = arch.link_model == "naive"
-        #: The two public flags above, packed for a single hot-path load:
+        self.topology = topology
+        num_tiles = topology.num_tiles
+        self.num_tiles = num_tiles
         #: 0 = epoch accounting (the default), 1 = naive, 2 = no contention.
-        if not self.model_contention:
-            self._mode = 2
-        elif self.naive_contention:
-            self._mode = 1
-        else:
-            self._mode = 0
-        num_tiles = self.topology.num_tiles
-        self._num_tiles = num_tiles
+        self._mode = mode
         #: Dense link numbering: position in ``topology.directed_links()``.
         #: ``_dense_link`` maps the sparse ``src * num_tiles + dst`` encoding
         #: to the dense id (-1 for non-links).
-        links = self.topology.directed_links()
+        links = topology.directed_links()
         self.num_links = len(links)
         self._dense_link = [-1] * (num_tiles * num_tiles)
         for dense, (src, dst) in enumerate(links):
             self._dense_link[src * num_tiles + dst] = dense
-        self._link_bits = (self.num_links - 1).bit_length()
+        self.link_bits = (self.num_links - 1).bit_length()
         #: Ring-buffer slot table: position ``(epoch % WINDOW) * num_links
         #: + link`` holds ``epoch * 64 + occupancy`` for the epoch that
         #: currently owns the slot.  A plain list, not an ``array``: slot
         #: values are ints either way, and list indexing skips the
         #: box/unbox step of ``array('q')`` on the hot path.
-        self._slots: list[int] = [0] * (WINDOW_EPOCHS * self.num_links)
+        self.slots: list[int] = [0] * (WINDOW_EPOCHS * self.num_links)
         #: Exact spill storage for epochs a slot does not currently
         #: represent, keyed ``(epoch << link_bits) | link``: far-future
         #: reservations (e.g. DRAM replies scheduled ahead) and retired
         #: occupancy flushed on slot recycling.  Invariant: an entry for
         #: (epoch, link) exists only while the owning slot's epoch is newer
         #: than ``epoch``, so the slot table and the overflow dict always
-        #: partition the epoch -> occupancy map exactly.  Memory matches
-        #: the PR-3 flat dict (which kept every epoch forever); dict *ops*
-        #: drop from one probe per link-hop to one insert per recycling.
-        self._overflow: dict[int, int] = {}
-        #: The compiled kernel instance, or ``None`` for the pure-Python
-        #: walk.  ``accel`` overrides the automatic selection for tests:
-        #: ``False`` forces the fallback, ``True`` demands the kernel
-        #: (raising if it is unavailable), ``None`` follows
-        #: ``repro.accel`` (compiled-and-loadable unless REPRO_NO_ACCEL).
-        #: Only the epoch-accounting mode is accelerated; the naive and
-        #: no-contention ablations always run the Python paths.
-        self._kernel = None
-        if self._mode == 0 and accel is not False:
-            kernel_cls = _accel.mesh_kernel_class()
-            if kernel_cls is not None:
-                self._kernel = kernel_cls(
-                    self.num_links, self._link_bits, float(arch.hop_latency)
-                )
-                #: The same memory the kernel mutates, viewed as flat
-                #: int64 - the introspection methods below read slots
-                #: identically in both implementations.
-                self._slots = memoryview(self._kernel).cast("q")
-                self._overflow = _KernelOverflow(self._kernel)
-            elif accel is True:
-                raise RuntimeError(
-                    "mesh accelerator requested but unavailable: "
-                    f"{_accel.status()['reason']}"
-                )
+        #: partition the epoch -> occupancy map exactly.
+        self.overflow: dict[int, int] = {}
         self._link_free_at: dict[int, float] = {}
-        #: Flat (src * num_tiles + dst) -> dense-link-id route memo, filled
-        #: on demand from the topology's route cache (see ``paths``).
+        #: Flat (src * num_tiles + dst) route memo of reserved-path
+        #: descriptors (see ``_path``), filled on first use.
         self._routes: list[tuple | None] = [None] * (num_tiles * num_tiles)
         #: Per-root broadcast tree with pre-resolved dense link ids.
         self._bcast_edges: dict[int, tuple[tuple[int, int, int], ...]] = {}
-        #: Flit count per message type, precomputed once (``message_flits``
-        #: depends only on the type and the arch constants) - the unicast
-        #: path is the hottest call chain in the simulator.
-        self._flits_table = [message_flits(msg, arch) for msg in MsgType]
-        self._hop_latency = arch.hop_latency
+        self._flits = flits
+        self._hop = hop_latency
+        #: Ring-buffer slots recycled for a newer epoch (telemetry: how
+        #: often the window wrapped past live occupancy; not in RunStats).
+        self.slot_recycles = 0
         # Traffic counters (inputs to the energy model).  Router traversals
         # are derived: every flit that crosses H links visits H + 1 routers,
         # so router = link + flits summed over messages (holds for the
@@ -236,118 +167,156 @@ class MeshNetwork:
         self.link_flit_traversals = 0
         self.messages_sent = 0
         self.flits_sent = 0
-        #: Ring-buffer slots recycled for a newer epoch (telemetry counter:
-        #: how often the window wrapped past live occupancy; not part of
-        #: RunStats).  Incremented on the rare recycle branches only; the
-        #: compiled kernel keeps its own count, surfaced through the
-        #: ``slot_recycles`` property.
-        self._recycles = 0
+        self.calls_unicast = 0
+        self.calls_chain = 0
+        self.calls_many = 0
+        self.calls_broadcast = 0
 
     # ------------------------------------------------------------------
-    @property
-    def router_flit_traversals(self) -> int:
-        """Derived traffic counter (see ``__init__``); kept in sync with the
-        other counters by construction, including across ``reset_stats``."""
-        return self.link_flit_traversals + self.flits_sent
+    def _descriptor(self, links: tuple[int, ...]) -> tuple:
+        """The reserved-path descriptor ``(links, hops, span, phase_limit)``:
+        the dense link ids, their count, the total hop latency and the
+        largest arrival-epoch phase for which every head of the message
+        stays inside the arrival epoch - everything :meth:`_walk` would
+        otherwise recompute per message."""
+        hops = len(links)
+        hop = self._hop
+        return (links, hops, hops * hop, EPOCH_CYCLES - 1 - (hops - 1) * hop)
 
-    @property
-    def slot_recycles(self) -> int:
-        """Slots recycled for a newer epoch, whichever side did it."""
-        kernel = self._kernel
-        return self._recycles if kernel is None else kernel.recycles
-
-    @slot_recycles.setter
-    def slot_recycles(self, value: int) -> None:
-        kernel = self._kernel
-        if kernel is None:
-            self._recycles = value
-        else:
-            kernel.recycles = value
-
-    @property
-    def implementation(self) -> str:
-        """Which traversal implementation this instance runs."""
-        return "fallback" if self._kernel is None else "accel"
-
-    @property
-    def paths(self) -> list[tuple | None]:
-        """The flat route memo of reserved-path descriptors (see
-        :meth:`resolve_path`); entries may be ``None`` until resolved.
-        Read only by the compiled scheduler kernel's native word path,
-        which declines a record whose route is still unresolved."""
-        return self._routes
-
-    def reset_contention(self) -> None:
-        """Forget all link reservations (used between independent runs)."""
-        if self._kernel is not None:
-            self._kernel.reset()  # zeroes slots + overflow in place
-        else:
-            self._slots = [0] * (WINDOW_EPOCHS * self.num_links)
-            self._overflow.clear()
-        self._link_free_at.clear()
-
-    def flits_for(self, msg: MsgType) -> int:
-        return self._flits_table[msg]
-
-    def resolve_path(self, src: int, dst: int) -> tuple:
-        """Pre-resolve the XY route src->dst to a reserved-path descriptor.
-
-        The descriptor is ``(links, hops, span, phase_limit)``: the dense
-        link ids of the route, their count, the total hop latency
-        ``hops * hop_latency``, and the largest arrival-epoch phase for
-        which every head of the message stays inside the arrival epoch -
-        everything :meth:`traverse_path` would otherwise recompute per
-        message, folded into the route memo once.  With the compiled
-        kernel active a fifth element carries the kernel-side path handle.
-        Treat it as opaque: resolve once, hand to ``traverse_path``.
-        Memoized in :attr:`paths` at index ``src * num_tiles + dst``;
-        ``src == dst`` yields the empty route (a same-tile "message" never
-        enters the network).
-        """
-        key = src * self._num_tiles + dst
+    def _path(self, src: int, dst: int) -> tuple:
+        """The memoized descriptor of the XY route src -> dst; ``src ==
+        dst`` yields the empty route (a same-tile "message" never enters
+        the network)."""
+        key = src * self.num_tiles + dst
         path = self._routes[key]
         if path is None:
             dense = self._dense_link
-            links = tuple(dense[link] for link in self.topology.route(src, dst))
-            hops = len(links)
-            hop = self._hop_latency
-            limit = EPOCH_CYCLES - 1 - (hops - 1) * hop
-            if self._kernel is not None:
-                path = (links, hops, hops * hop, limit,
-                        self._kernel.register_path(links))
-            else:
-                path = (links, hops, hops * hop, limit)
+            path = self._descriptor(
+                tuple(dense[link] for link in self.topology.route(src, dst))
+            )
             self._routes[key] = path
         return path
+
+    def route(self, src: int, dst: int) -> tuple[int, ...]:
+        """The XY route src -> dst as dense link ids (memoized)."""
+        return self._path(src, dst)[0]
+
+    def traverse(self, links, t_head: float, flits: int) -> float:
+        """Send ``flits`` along an explicit link sequence; return the tail
+        arrival."""
+        return self._walk(self._descriptor(tuple(links)), t_head, flits)
+
+    def unicast(self, src: int, dst: int, msg: MsgType, start: float) -> float:
+        self.calls_unicast += 1
+        path = self._routes[src * self.num_tiles + dst] or self._path(src, dst)
+        return self._walk(path, start, self._flits[msg])
+
+    def traverse_chain(
+        self,
+        src: int,
+        dst: int,
+        msg1: MsgType,
+        t0: float,
+        busy_until: float,
+        gap: float,
+        msg2: MsgType,
+    ) -> tuple[float, float]:
+        self.calls_chain += 1
+        routes = self._routes
+        num_tiles = self.num_tiles
+        path1 = routes[src * num_tiles + dst] or self._path(src, dst)
+        path2 = routes[dst * num_tiles + src] or self._path(dst, src)
+        t1 = self._walk(path1, t0, self._flits[msg1])
+        start = busy_until if busy_until > t1 else t1
+        return t1, self._walk(path2, start + gap, self._flits[msg2])
+
+    def traverse_many(
+        self, src: int, dsts: list[int], msg: MsgType, t_head: float
+    ) -> list[float]:
+        self.calls_many += 1
+        routes = self._routes
+        row = src * self.num_tiles
+        flits = self._flits[msg]
+        walk = self._walk
+        return [
+            walk(routes[row + dst] or self._path(src, dst), t_head, flits)
+            for dst in dsts
+        ]
+
+    def broadcast(self, root: int, msg: MsgType, start: float) -> dict[int, float]:
+        self.calls_broadcast += 1
+        flits = self._flits[msg]
+        arrival: dict[int, float] = {root: start}
+        edges = self._bcast_edges.get(root)
+        if edges is None:
+            dense = self._dense_link
+            num_tiles = self.num_tiles
+            edges = tuple(
+                (src, dst, dense[src * num_tiles + dst])
+                for src, dst in self.topology.broadcast_tree(root)
+            )
+            self._bcast_edges[root] = edges
+        hop = self._hop
+        tail = flits - 1
+        contended = self._mode != 2
+        traverse = self._traverse_link
+        for src, dst, link in edges:
+            t_head = arrival[src] - tail if src != root else start
+            if t_head < start:
+                t_head = start
+            if contended:
+                t_head = traverse(link, t_head, flits) + hop
+            else:
+                t_head = t_head + hop
+            arrival[dst] = t_head + tail
+        # router traversals (flits * num_tiles) are derived: link
+        # traversals (flits * (num_tiles - 1) tree edges) + flits_sent.
+        self.link_flit_traversals += flits * len(edges)
+        self.messages_sent += 1
+        self.flits_sent += flits
+        return arrival
+
+    def reset(self) -> None:
+        """Forget all link reservations, in place (the owning network's
+        slot view stays valid)."""
+        self.slots[:] = [0] * len(self.slots)
+        self.overflow.clear()
+        self._link_free_at.clear()
+
+    def overflow_len(self) -> int:
+        return len(self.overflow)
+
+    def overflow_items(self) -> list[tuple[int, int]]:
+        return list(self.overflow.items())
 
     # ------------------------------------------------------------------
     # Occupancy plumbing (slow paths): one (link, epoch) cell at a time,
     # window slot or overflow dict as the slot's epoch tag dictates.
     # ------------------------------------------------------------------
     def _occ_load(self, link: int, epoch: int) -> int:
-        value = self._slots[(epoch & _WINDOW_MASK) * self.num_links + link]
+        value = self.slots[(epoch & _WINDOW_MASK) * self.num_links + link]
         if value >> _SLOT_SHIFT == epoch:
             return value & _SLOT_OCC_MASK
-        return self._overflow.get((epoch << self._link_bits) | link, 0)
+        return self.overflow.get((epoch << self.link_bits) | link, 0)
 
     def _occ_store(self, link: int, epoch: int, occupancy: int) -> None:
         slot = (epoch & _WINDOW_MASK) * self.num_links + link
-        value = self._slots[slot]
+        value = self.slots[slot]
         tag = value >> _SLOT_SHIFT
         if tag == epoch:
-            self._slots[slot] = (epoch << _SLOT_SHIFT) | occupancy
+            self.slots[slot] = (epoch << _SLOT_SHIFT) | occupancy
         elif tag < epoch:
             # Recycle the slot for the newer epoch; the retired occupancy
             # stays exactly readable through the overflow dict.
-            self._recycles += 1
+            self.slot_recycles += 1
             old = value & _SLOT_OCC_MASK
             if old:
-                self._overflow[(tag << self._link_bits) | link] = old
-            self._slots[slot] = (epoch << _SLOT_SHIFT) | occupancy
+                self.overflow[(tag << self.link_bits) | link] = old
+            self.slots[slot] = (epoch << _SLOT_SHIFT) | occupancy
         else:
             # The slot belongs to a newer epoch (a reservation further in
             # the future already claimed it): this epoch lives in overflow.
-            self._overflow[(epoch << self._link_bits) | link] = occupancy
+            self.overflow[(epoch << self.link_bits) | link] = occupancy
 
     def _traverse_naive(self, link: int, t_head: float, flits: int) -> float:
         """Single next-free-time per link (the ablation model).
@@ -364,12 +333,12 @@ class MeshNetwork:
 
     def _traverse_link(self, link: int, t_head: float, flits: int) -> float:
         """Reserve ``flits`` of bandwidth on one link; return head depart time."""
-        if self.naive_contention:
+        if self._mode == 1:
             return self._traverse_naive(link, t_head, flits)
         # Times are non-negative, so ``int(t) >> EPOCH_SHIFT`` equals
         # ``int(t // EPOCH_CYCLES)`` without the float division.
         epoch = int(t_head) >> EPOCH_SHIFT
-        slots = self._slots
+        slots = self.slots
         slot = (epoch & _WINDOW_MASK) * self.num_links + link
         value = slots[slot]
         ebase = epoch << _SLOT_SHIFT
@@ -378,10 +347,10 @@ class MeshNetwork:
                 slots[slot] = value + flits
                 return t_head
             if flits <= EPOCH_CYCLES:
-                self._recycles += 1
+                self.slot_recycles += 1
                 old = value & _SLOT_OCC_MASK
                 if old:
-                    self._overflow[((value >> _SLOT_SHIFT) << self._link_bits) | link] = old
+                    self.overflow[((value >> _SLOT_SHIFT) << self.link_bits) | link] = old
                 slots[slot] = ebase | flits
                 return t_head
         return self._traverse_congested(link, epoch, t_head, flits)
@@ -404,7 +373,7 @@ class MeshNetwork:
         return depart
 
     # ------------------------------------------------------------------
-    def traverse_path(
+    def _walk(
         self,
         path: tuple,
         t_head: float,
@@ -418,14 +387,14 @@ class MeshNetwork:
         _sshift: int = _SLOT_SHIFT,
         _omask: int = _SLOT_OCC_MASK,
     ) -> float:
-        """Send ``flits`` along a pre-resolved path; return the TAIL arrival.
+        """Send ``flits`` along a reserved-path descriptor; return the TAIL
+        arrival.
 
-        ``path`` is the opaque descriptor from :meth:`resolve_path`.  The
-        empty route is a same-tile "message": it arrives instantly,
+        The empty route is a same-tile "message": it arrives instantly,
         consumes no network energy and is not counted - exactly why R-NUCA
         locates private data at the requester's own slice.
 
-        This is the simulator's hottest loop.  The common shape - every hop
+        This is the fallback's hottest loop.  The common shape - every hop
         lands in the head's arrival epoch (paths are <= 2W-2 hops of 2
         cycles against 32-cycle epochs) and every link has capacity - runs
         as a single pass of one list index, one subtract, two compares and
@@ -436,22 +405,14 @@ class MeshNetwork:
         per-link walk is contractual).  Epoch-crossing paths and contended
         or recycled slots fall back to the generic walk, which reserves
         identically.
-
-        With the compiled kernel active the whole reservation is one FFI
-        call; only the traffic counters stay Python-side (integer sums,
-        so the split cannot change results).
         """
-        hops = path[1]
+        links, hops, span, phase_limit = path
         if not hops:
             return t_head
         self.link_flit_traversals += flits * hops
         self.messages_sent += 1
         self.flits_sent += flits
-        kernel = self._kernel
-        if kernel is not None:
-            return kernel.traverse(path[4], t_head, flits)
-        links, hops, span, phase_limit = path
-        hop = self._hop_latency
+        hop = self._hop
         mode = self._mode
         if mode:
             if mode == 2:
@@ -460,7 +421,7 @@ class MeshNetwork:
             for link in links:
                 t_head = traverse(link, t_head, flits) + hop
             return t_head + (flits - 1)
-        slots = self._slots
+        slots = self.slots
         num_links = self.num_links
         t_int = int(t_head)
         # Single-epoch fast pass: the last head departs at
@@ -481,12 +442,10 @@ class MeshNetwork:
                         continue
                     # Stale slot: recycle it for this epoch (the retired
                     # occupancy stays readable through the overflow dict).
-                    self._recycles += 1
+                    self.slot_recycles += 1
                     old = value & _omask
                     if old:
-                        self._overflow[
-                            ((value >> _sshift) << self._link_bits) | link
-                        ] = old
+                        self.overflow[((value >> _sshift) << self.link_bits) | link] = old
                     slots[j] = ebase | flits
                     t_head += hop
                     continue
@@ -506,8 +465,8 @@ class MeshNetwork:
         row = -1
         ebase = 0
         spare = 0
-        overflow = self._overflow
-        link_bits = self._link_bits
+        overflow = self.overflow
+        link_bits = self.link_bits
         claim_ok = flits <= _ecap
         for link in links:
             e = t_int >> _eshift
@@ -525,7 +484,7 @@ class MeshNetwork:
                     t_int += hop
                     continue
                 if claim_ok:
-                    self._recycles += 1
+                    self.slot_recycles += 1
                     old = value & _omask
                     if old:
                         overflow[((value >> _sshift) << link_bits) | link] = old
@@ -538,7 +497,148 @@ class MeshNetwork:
             epoch = -1  # force a row recompute on the next link
         return t_head + (flits - 1)
 
+
+def _kernel_attribute(name: str, doc: str) -> property:
+    """A read/write property that lives on the network's kernel."""
+
+    def get(self: MeshNetwork) -> int:
+        return getattr(self._kernel, name)
+
+    def set_(self: MeshNetwork, value: int) -> None:
+        setattr(self._kernel, name, value)
+
+    return property(get, set_, doc=doc)
+
+
+class MeshNetwork:
+    """Timing + traffic model for the electrical 2-D mesh.
+
+    A thin front over one mesh kernel (see the module docstring): every
+    message entry point is a single forward, and the traffic counters are
+    properties over the kernel's.  The entry points stay methods of this
+    class so that tools can wrap them at class level.
+    """
+
+    __slots__ = (
+        "arch",
+        "topology",
+        "model_contention",
+        "naive_contention",
+        "num_links",
+        "_link_bits",
+        "_slots",
+        "_kernel",
+    )
+
+    link_flit_traversals = _kernel_attribute(
+        "link_flit_traversals", "Flits times links crossed (energy-model input)."
+    )
+    messages_sent = _kernel_attribute(
+        "messages_sent", "Messages that entered the network (same-tile ones do not)."
+    )
+    flits_sent = _kernel_attribute("flits_sent", "Flits of those messages.")
+    slot_recycles = _kernel_attribute(
+        "slot_recycles",
+        "Ring-buffer slots recycled for a newer epoch (telemetry; not in RunStats).",
+    )
+
+    def __init__(
+        self,
+        arch: ArchConfig,
+        model_contention: bool | None = None,
+        accel: bool | None = None,
+    ) -> None:
+        self.arch = arch
+        self.topology = Mesh2D(arch.num_cores)
+        #: ``model_contention`` overrides ``arch.link_model`` when given
+        #: (kept for tests that construct networks directly).
+        if model_contention is None:
+            self.model_contention = arch.link_model != "none"
+        else:
+            self.model_contention = model_contention
+        self.naive_contention = arch.link_model == "naive"
+        if not self.model_contention:
+            mode = 2
+        elif self.naive_contention:
+            mode = 1
+        else:
+            mode = 0
+        # Flit count per message type (``message_flits`` depends only on
+        # the type and the arch constants), handed to the kernel once.
+        flits = tuple(message_flits(msg, arch) for msg in MsgType)
+        # ``accel`` overrides the automatic kernel selection for tests:
+        # ``False`` forces the twin, ``True`` demands the compiled kernel
+        # (raising if it is unavailable), ``None`` follows ``repro.accel``
+        # (compiled-and-loadable unless REPRO_NO_ACCEL).  Only the
+        # epoch-accounting mode is compiled.
+        kernel = None
+        if mode == 0 and accel is not False:
+            kernel_cls = _accel.mesh_kernel_class()
+            if kernel_cls is not None:
+                kernel = kernel_cls(
+                    self.topology.num_tiles, float(arch.hop_latency), flits
+                )
+                #: The same memory the kernel mutates, viewed as flat
+                #: int64 - the introspection methods below read slots
+                #: identically in both implementations.
+                self._slots = memoryview(kernel).cast("q")
+            elif accel is True:
+                raise RuntimeError(
+                    "mesh accelerator requested but unavailable: "
+                    f"{_accel.status()['reason']}"
+                )
+        if kernel is None:
+            kernel = _PyMeshKernel(self.topology, mode, arch.hop_latency, flits)
+            self._slots = kernel.slots
+        self._kernel = kernel
+        self.num_links = kernel.num_links
+        self._link_bits = kernel.link_bits
+
     # ------------------------------------------------------------------
+    @property
+    def router_flit_traversals(self) -> int:
+        """Derived traffic counter (see ``_PyMeshKernel.__init__``); kept in
+        sync with the other counters by construction, including across
+        ``reset_stats``."""
+        return self.link_flit_traversals + self.flits_sent
+
+    @property
+    def crossings(self) -> dict[str, int]:
+        """Calls per kernel entry point (see ``CROSSING_ENTRIES``)."""
+        kernel = self._kernel
+        return {entry: getattr(kernel, f"calls_{entry}") for entry in CROSSING_ENTRIES}
+
+    def reset_crossings(self) -> None:
+        """Zero the per-entry call counters (the warmup/measure boundary)."""
+        for entry in CROSSING_ENTRIES:
+            setattr(self._kernel, f"calls_{entry}", 0)
+
+    @property
+    def overflow_entries(self) -> int:
+        """Entries in the ring buffer's overflow map."""
+        return self._kernel.overflow_len()
+
+    @property
+    def implementation(self) -> str:
+        """Which mesh kernel this instance runs."""
+        return "fallback" if isinstance(self._kernel, _PyMeshKernel) else "accel"
+
+    def reset_contention(self) -> None:
+        """Forget all link reservations (used between independent runs)."""
+        self._kernel.reset()
+
+    def resolve_path(self, src: int, dst: int) -> tuple[int, ...]:
+        """The XY route src -> dst as dense link ids (memoized by the
+        kernel); ``src == dst`` yields the empty route."""
+        return self._kernel.route(src, dst)
+
+    # ------------------------------------------------------------------
+    def traverse_path(self, path, t_head: float, flits: int) -> float:
+        """Send ``flits`` along ``path`` (dense link ids, e.g. from
+        :meth:`resolve_path`); return the TAIL arrival.  An empty path
+        arrives at ``t_head``, uncounted."""
+        return self._kernel.traverse(path, t_head, flits)
+
     def traverse_chain(
         self,
         src: int,
@@ -558,32 +658,10 @@ class MeshNetwork:
             t2 = unicast(dst, src, msg2, start + gap)     # reply tail
 
         and returns ``(t1, t2)`` so the caller can still account the
-        waiting time (``busy_until - t1``).  With the compiled kernel and
-        ``src != dst`` this crosses the FFI boundary once per miss instead
-        of once per leg; a same-tile round trip composes the pure calls, which
-        return without touching the network either way.
+        waiting time (``busy_until - t1``).  A same-tile round trip takes
+        two empty routes and returns ``(t0, max(t0, busy_until) + gap)``.
         """
-        routes = self._routes
-        num_tiles = self._num_tiles
-        path1 = routes[src * num_tiles + dst]
-        if path1 is None:
-            path1 = self.resolve_path(src, dst)
-        path2 = routes[dst * num_tiles + src]
-        if path2 is None:
-            path2 = self.resolve_path(dst, src)
-        flits1 = self._flits_table[msg1]
-        flits2 = self._flits_table[msg2]
-        kernel = self._kernel
-        if kernel is not None and src != dst:
-            self.link_flit_traversals += flits1 * path1[1] + flits2 * path2[1]
-            self.messages_sent += 2
-            self.flits_sent += flits1 + flits2
-            return kernel.traverse_chain(
-                path1[4], flits1, t0, busy_until, gap, path2[4], flits2
-            )
-        t1 = self.traverse_path(path1, t0, flits1)
-        start = busy_until if busy_until > t1 else t1
-        return t1, self.traverse_path(path2, start + gap, flits2)
+        return self._kernel.traverse_chain(src, dst, msg1, t0, busy_until, gap, msg2)
 
     def traverse_many(
         self, src: int, dsts: list[int], msg: MsgType, t_head: float
@@ -594,88 +672,31 @@ class MeshNetwork:
 
         The invalidation rounds of the directory families reserve one INV
         per sharer back to back - reservation *order* is contractual (it
-        decides who gets the contended slot), and this preserves it while
-        crossing the FFI boundary once for the whole round.
+        decides who gets the contended slot), and this preserves it in one
+        kernel call for the whole round.
         """
-        routes = self._routes
-        row = src * self._num_tiles
-        paths = []
-        for dst in dsts:
-            path = routes[row + dst]
-            if path is None:
-                path = self.resolve_path(src, dst)
-            paths.append(path)
-        flits = self._flits_table[msg]
-        kernel = self._kernel
-        if kernel is None:
-            traverse = self.traverse_path
-            return [traverse(path, t_head, flits) for path in paths]
-        handles = [path[4] for path in paths if path[1]]
-        if not handles:
-            return [t_head] * len(paths)
-        self.link_flit_traversals += flits * sum(path[1] for path in paths)
-        self.messages_sent += len(handles)
-        self.flits_sent += flits * len(handles)
-        if len(handles) == len(paths):
-            return list(kernel.traverse_many(t_head, flits, handles))
-        arrivals = iter(kernel.traverse_many(t_head, flits, handles))
-        return [next(arrivals) if path[1] else t_head for path in paths]
+        return self._kernel.traverse_many(src, dsts, msg, t_head)
 
-    # ------------------------------------------------------------------
     def unicast(self, src: int, dst: int, msg: MsgType, start: float) -> float:
         """Send one message; return the arrival time of its tail flit.
 
-        A same-tile message takes the empty route: it arrives at ``start``
-        uncounted (see :meth:`traverse_path`), and its route is memoized
-        like any other.
+        A same-tile message takes the empty route: it arrives at ``start``,
+        consumes no network energy and is not counted - exactly why R-NUCA
+        locates private data at the requester's own slice.
         """
-        path = self._routes[src * self._num_tiles + dst]
-        if path is None:
-            path = self.resolve_path(src, dst)
-        return self.traverse_path(path, start, self._flits_table[msg])
+        return self._kernel.unicast(src, dst, msg, start)
 
-    # ------------------------------------------------------------------
     def broadcast(self, root: int, msg: MsgType, start: float) -> dict[int, float]:
         """Broadcast from ``root``; return per-tile tail arrival times.
 
-        Each router replicates the message on its tree output links, so the
-        network carries exactly one copy per tree edge (``num_tiles - 1``
-        link traversals per flit) - the single-injection broadcast of
-        Section 3.1.  Every tree edge reserves bandwidth through the same
-        ring-buffer slot logic as unicast, with the hop latency cached on
-        the network (not re-read from the arch per edge).
+        Each router replicates the message on its tree output links
+        (``Mesh2D.broadcast_tree``), so the network carries exactly one
+        copy per tree edge (``num_tiles - 1`` link traversals per flit) -
+        the single-injection broadcast of Section 3.1.  Every tree edge
+        reserves bandwidth through the same ring-buffer slot logic as
+        unicast.
         """
-        flits = self._flits_table[msg]
-        arrival: dict[int, float] = {root: start}
-        edges = self._bcast_edges.get(root)
-        if edges is None:
-            dense = self._dense_link
-            num_tiles = self._num_tiles
-            edges = tuple(
-                (src, dst, dense[src * num_tiles + dst])
-                for src, dst in self.topology.broadcast_tree(root)
-            )
-            self._bcast_edges[root] = edges
-        hop = self._hop_latency
-        tail = flits - 1
-        contended = self.model_contention
-        kernel = self._kernel
-        traverse = self._traverse_link if kernel is None else kernel.traverse_link
-        for src, dst, link in edges:
-            t_head = arrival[src] - tail if src != root else start
-            if t_head < start:
-                t_head = start
-            if contended:
-                t_head = traverse(link, t_head, flits) + hop
-            else:
-                t_head = t_head + hop
-            arrival[dst] = t_head + tail
-        # router traversals (flits * num_tiles) are derived: link
-        # traversals (flits * (num_tiles - 1) tree edges) + flits_sent.
-        self.link_flit_traversals += flits * len(edges)
-        self.messages_sent += 1
-        self.flits_sent += flits
-        return arrival
+        return self._kernel.broadcast(root, msg, start)
 
     # ------------------------------------------------------------------
     # Introspection (property tests / debugging; not on any hot path).
@@ -688,9 +709,8 @@ class MeshNetwork:
         ``link_flit_traversals`` - every flit crossing a link reserves
         exactly one cycle of capacity, wherever the window placed it.
         """
-        return (
-            sum(value & _SLOT_OCC_MASK for value in self._slots)
-            + sum(self._overflow.values())
+        return sum(value & _SLOT_OCC_MASK for value in self._slots) + sum(
+            value for _key, value in self._kernel.overflow_items()
         )
 
     def occupancy_map(self) -> dict[tuple[int, int], int]:
@@ -706,7 +726,7 @@ class MeshNetwork:
             if occupancy:
                 out[(value >> _SLOT_SHIFT, position % num_links)] = occupancy
         mask = (1 << self._link_bits) - 1
-        for key, value in self._overflow.items():
+        for key, value in self._kernel.overflow_items():
             if value:
                 out[(key >> self._link_bits, key & mask)] = value
         return out

@@ -204,6 +204,7 @@ class ProtocolEngineBase:
         net.messages_sent = 0
         net.flits_sent = 0
         net.slot_recycles = 0
+        net.reset_crossings()
         for ctrl in self.memsys.controllers.values():
             ctrl.requests = 0
             ctrl.bytes_transferred = 0

@@ -126,26 +126,17 @@ class DLSEngine(ProtocolEngineBase):
         :meth:`access`'s resident branch natively (DESIGN.md sec. 14,
         "Native shapes").  The kernel declines to ``access`` whenever a
         Python-side effect could be due (unclassified page, another core's
-        private page, non-resident line, unresolved route).  Engaged only
-        without verification (golden checks and write tokens stay in
-        Python) and with the compiled mesh kernel (both legs reserve
-        through it)."""
+        private page, non-resident line).  Engaged only without
+        verification (golden checks and write tokens stay in Python) and
+        with the compiled mesh kernel (both legs reserve through its chain
+        entry, by tile id and message type)."""
         network = self.network
         if self.verify or network.implementation != "accel":
             return None
-        flits_for = network.flits_for
         store = self.l2[0].store
         return {
             "engine": self,
             "mesh": network._kernel,
-            "network": network,
-            "paths": network.paths,
-            "flits": (
-                flits_for(MsgType.READ_REQ),
-                flits_for(MsgType.WRITE_REQ),
-                flits_for(MsgType.WORD_REPLY),
-                flits_for(MsgType.WORD_WRITE_ACK),
-            ),
             "pages": self.placement.page_table._pages,
             "private": PageKind.PRIVATE,
             "shared": PageKind.SHARED,

@@ -189,7 +189,9 @@ class Simulator:
         tel.count("mesh.flits", network.flits_sent)
         tel.count("mesh.link_flit_traversals", network.link_flit_traversals)
         tel.count("mesh.slot_recycles", network.slot_recycles)
-        tel.count("mesh.overflow_entries", len(network._overflow))
+        tel.count("mesh.overflow_entries", network.overflow_entries)
+        for entry, calls in network.crossings.items():
+            tel.count(f"mesh.crossings.{entry}", calls)
         tel.count("dram.requests", engine.memsys.total_requests)
 
     # ------------------------------------------------------------------

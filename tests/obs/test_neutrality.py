@@ -15,6 +15,7 @@ import json
 import pytest
 
 from repro import accel
+from repro.network.mesh import CROSSING_ENTRIES
 from repro.obs import TELEMETRY
 from repro.runner.backends.local import execute_job
 from repro.runner.sweep import grid_from_args
@@ -89,11 +90,7 @@ def test_sched_exit_counters_emitted_and_neutral(family, kernel, tmp_path, monke
     finally:
         TELEMETRY.disable()
     assert json.dumps(observed, sort_keys=True) == json.dumps(baseline, sort_keys=True)
-    counters: dict[str, int] = {}
-    for line in sink.read_text().splitlines():
-        record = json.loads(line)
-        if record["kind"] == "counter":
-            counters[record["name"]] = counters.get(record["name"], 0) + record["value"]
+    counters = _counters(sink)
     names = ("sched.retired.l1_hit", "sched.retired.l2_word",
              "sched.exits.access", "sched.exits.sync")
     assert set(names) <= counters.keys()
@@ -107,6 +104,49 @@ def test_sched_exit_counters_emitted_and_neutral(family, kernel, tmp_path, monke
         assert counters["sched.retired.l2_word"] > 0
     else:
         assert counters["sched.retired.l2_word"] == 0
+
+
+def _counters(sink) -> dict[str, int]:
+    counters: dict[str, int] = {}
+    for line in sink.read_text().splitlines():
+        record = json.loads(line)
+        if record["kind"] == "counter":
+            counters[record["name"]] = counters.get(record["name"], 0) + record["value"]
+    return counters
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_mesh_crossings_equal_across_kernels_and_neutral(family, tmp_path, monkeypatch):
+    """Calls per mesh entry point (``mesh.crossings.<entry>``, measured
+    pass) are emitted per run, equal whichever kernels run - compiled,
+    the mesh twin under the compiled scheduler, or everything pure
+    Python - and leave ``RunStats`` untouched."""
+    if accel.mesh_kernel_class() is None:
+        pytest.skip("compiled mesh kernel unavailable")
+    (job,) = _jobs((family,))
+    baseline = json.dumps(execute_job(job).to_dict(), sort_keys=True)
+    seen = {}
+    for name, env in (
+        ("compiled", None),
+        ("mesh-twin", accel.NO_ACCEL_MESH_ENV),
+        ("fallback", accel.NO_ACCEL_ENV),
+    ):
+        with monkeypatch.context() as patch:
+            if env is not None:
+                patch.setenv(env, "1")
+            sink = tmp_path / f"{name}.jsonl"
+            TELEMETRY.enable(sink)
+            try:
+                observed = execute_job(job).to_dict()
+            finally:
+                TELEMETRY.disable()
+        assert json.dumps(observed, sort_keys=True) == baseline, name
+        counters = _counters(sink)
+        seen[name] = {
+            entry: counters[f"mesh.crossings.{entry}"] for entry in CROSSING_ENTRIES
+        }
+    assert seen["compiled"] == seen["mesh-twin"] == seen["fallback"]
+    assert seen["compiled"]["unicast"] + seen["compiled"]["chain"] > 0
 
 
 def test_disabled_run_touches_no_sink(tmp_path):

@@ -25,21 +25,24 @@ from hypothesis import strategies as st
 from repro import accel as accel_pkg
 from repro.common.params import ArchConfig
 from repro.network.mesh import EPOCH_CYCLES, EPOCH_SHIFT, WINDOW_EPOCHS, MeshNetwork
-from repro.network.messages import MsgType
+from repro.network.messages import MsgType, message_flits
 
 ARCH16 = ArchConfig(num_cores=16, num_memory_controllers=4)
 
-#: Every property in this module runs against BOTH traversal
-#: implementations: the pure-Python ring buffer and the compiled kernel
-#: (skipped where no compiler is available).  The kernel's contract is
-#: bit-identity, so the same assertions pin both.
+#: Every property in this module runs against BOTH mesh kernels: the
+#: pure-Python twin ``_PyMeshKernel`` (``fallback``) and the compiled
+#: ``MeshKernel`` (``accel``, skipped where no compiler is available),
+#: each behind a ``MeshNetwork``.  The kernel's contract is bit-identity,
+#: so the same assertions pin both.
 BOTH_IMPLS = pytest.mark.parametrize("impl", ["fallback", "accel"])
 
 
 def make_net(impl: str, arch: ArchConfig = ARCH16) -> MeshNetwork:
     if impl == "accel" and accel_pkg.mesh_kernel_class() is None:
         pytest.skip("compiled mesh kernel unavailable")
-    return MeshNetwork(arch, accel=(impl == "accel"))
+    net = MeshNetwork(arch, accel=(impl == "accel"))
+    assert net.implementation == impl
+    return net
 
 
 class ReferenceEpochModel:
@@ -55,10 +58,9 @@ class ReferenceEpochModel:
         self.use: dict[tuple[int, int], int] = {}
         self.hop = net.arch.hop_latency
 
-    def traverse_path(self, path: tuple, t_head: float, flits: int) -> float:
+    def traverse_path(self, links: tuple, t_head: float, flits: int) -> float:
         """PR 3's inlined unicast loop: one dict probe per link, a shadow
         integer clock advanced by the (integral) hop latency per link."""
-        links = path[0]  # reserved-path descriptor: (links, hops, span, limit)
         if not links:
             return t_head
         hop = self.hop
@@ -144,7 +146,7 @@ class TestFlitConservation:
         for i in range(8):
             net.traverse_path(path, float(i), 2)
         assert net.reserved_flits() == net.link_flit_traversals
-        assert net._overflow, "far-future reservation should sit in overflow"
+        assert net.overflow_entries, "far-future reservation should sit in overflow"
 
     @BOTH_IMPLS
     def test_broadcast_reserves_one_slot_per_tree_edge_flit(self, impl):
@@ -214,25 +216,25 @@ class TestReferenceEquivalence:
     @BOTH_IMPLS
     def test_unicast_equals_traverse_path_on_resolved_route(self, impl):
         """Including ``src == dst``: the same-tile message takes the empty
-        route (instant, uncounted), and that route is memoized like any
-        other - the compiled scheduler's native word path declines on an
-        unresolved route."""
+        route, arriving instantly and uncounted."""
         a = make_net(impl)
         b = make_net(impl)
+        flits = message_flits(MsgType.LINE_REPLY, b.arch)
         t = 0.0
         for src in range(16):
             for dst in range(16):
                 via_unicast = a.unicast(src, dst, MsgType.LINE_REPLY, t)
                 path = b.resolve_path(src, dst)
-                via_path = b.traverse_path(path, t, b.flits_for(MsgType.LINE_REPLY))
+                via_path = b.traverse_path(path, t, flits)
                 assert via_unicast == via_path
                 if src == dst:
                     assert via_unicast == t
+                    assert path == ()
                 t += 3.0
         assert a.occupancy_map() == b.occupancy_map()
         assert twin_counters(a) == twin_counters(b)
-        for tile in range(16):
-            assert a.paths[tile * 16 + tile] is not None
+        assert a.crossings["unicast"] == 256
+        assert set(b.crossings.values()) == {0}
 
 
 def twin_counters(net: MeshNetwork) -> tuple:
@@ -247,9 +249,11 @@ def twin_counters(net: MeshNetwork) -> tuple:
 class TestChainAndBatchSeams:
     """``traverse_chain`` and ``traverse_many`` are the protocol engines'
     request -> home -> reply and invalidation-round entries.  Each must
-    equal the ``unicast`` sequence it stands for, on both implementations
-    - including same-tile (empty) legs, lines still busy when the request
-    arrives, and contention from earlier traffic."""
+    equal the ``unicast`` sequence it stands for, on both kernels (the
+    compiled ``MeshKernel`` and the ``_PyMeshKernel`` twin) - including
+    same-tile (empty) legs, lines still busy when the request arrives, and
+    contention from earlier traffic - with equal traffic counters and one
+    counted call per entry."""
 
     @BOTH_IMPLS
     @settings(max_examples=60, deadline=None)
@@ -260,7 +264,8 @@ class TestChainAndBatchSeams:
         tiles = st.integers(0, 15)
         messages = st.sampled_from(list(MsgType))
         t0 = 0.0
-        for _ in range(data.draw(st.integers(1, 40))):
+        rounds = data.draw(st.integers(1, 40))
+        for _ in range(rounds):
             src = data.draw(tiles)
             dst = data.draw(st.one_of(st.just(src), tiles))
             msg1, msg2 = data.draw(messages), data.draw(messages)
@@ -279,6 +284,9 @@ class TestChainAndBatchSeams:
             t2 = composed.unicast(dst, src, msg2, start + gap)
             assert got == (t1, t2), (src, dst, msg1, msg2, t0, busy, gap)
         assert twin_counters(chained) == twin_counters(composed)
+        assert chained.crossings["chain"] == rounds
+        assert composed.crossings["chain"] == 0
+        assert composed.crossings["unicast"] == chained.crossings["unicast"] + 2 * rounds
 
     @BOTH_IMPLS
     @settings(max_examples=60, deadline=None)
@@ -288,7 +296,8 @@ class TestChainAndBatchSeams:
         looped = make_net(impl)
         tiles = st.integers(0, 15)
         t_head = 0.0
-        for _ in range(data.draw(st.integers(1, 20))):
+        rounds = data.draw(st.integers(1, 20))
+        for _ in range(rounds):
             src = data.draw(tiles)
             # Targets may include the source itself: an empty route in the mix.
             targets = data.draw(st.lists(tiles, min_size=0, max_size=8))
@@ -298,3 +307,5 @@ class TestChainAndBatchSeams:
             want = [looped.unicast(src, c, msg, t_head) for c in targets]
             assert got == want, (src, targets, msg, t_head)
         assert twin_counters(batched) == twin_counters(looped)
+        assert batched.crossings["many"] == rounds
+        assert batched.crossings["unicast"] == looped.crossings["many"] == 0
