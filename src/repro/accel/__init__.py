@@ -77,7 +77,7 @@ _kernels: dict[str, tuple[Any, str | None]] = {}
 #: cached artifact built from other sources reports another version and is
 #: refused like any constant mismatch.
 MESH_ABI_VERSION = 2
-SCHED_ABI_VERSION = 3
+SCHED_ABI_VERSION = 4
 
 
 def _mesh_constants() -> dict[str, int]:
@@ -106,8 +106,8 @@ def _sched_constants() -> dict[str, int]:
         "OP_UNLOCK": int(Op.UNLOCK),
         "OP_WORK": int(Op.WORK),
         "LINE_BITS": addr.LINE_BITS,
-        # The native DLS word path's address split, miss typing and
-        # history flags (protocol/base.py).
+        # The home-word row's address split, miss typing and history
+        # flags (protocol/base.py).
         "WORD_BITS": addr.WORD_BITS,
         "MISS_COLD": int(MissType.COLD),
         "MISS_CAPACITY": int(MissType.CAPACITY),
@@ -117,7 +117,7 @@ def _sched_constants() -> dict[str, int]:
         "EVER_CACHED": base._EVER_CACHED,
         "LAST_REMOVAL_INVAL": base._LAST_REMOVAL_INVAL,
         "EVER_REMOTE": base._EVER_REMOTE,
-        # The native DLS word path's message types (its chain legs).
+        # The home-word row's message types (its chain legs).
         "MSG_READ_REQ": int(MsgType.READ_REQ),
         "MSG_WRITE_REQ": int(MsgType.WRITE_REQ),
         "MSG_WORD_REPLY": int(MsgType.WORD_REPLY),

@@ -560,8 +560,8 @@ static PyTypeObject KernelType;
 
 /* ------------------------------------------------------------------ */
 /* Exported to _sched.c (same shared object): the scheduler kernel's    */
-/* native DLS word path reserves both legs of a word round trip here,   */
-/* through exactly the walk Kernel_traverse_chain runs.                 */
+/* home-word row reserves both legs of a word round trip here, through */
+/* exactly the walk Kernel_traverse_chain runs.                         */
 /* ------------------------------------------------------------------ */
 
 int
@@ -1038,7 +1038,7 @@ static PyMemberDef Kernel_members[] = {
     COUNTER(flits_sent, "flits of those messages"),
     COUNTER(slot_recycles, "slots recycled for a newer epoch"),
     COUNTER(calls_unicast, "unicast calls"),
-    COUNTER(calls_chain, "traverse_chain calls, native word path included"),
+    COUNTER(calls_chain, "traverse_chain calls, home-word row included"),
     COUNTER(calls_many, "traverse_many calls"),
     COUNTER(calls_broadcast, "broadcast calls"),
     {NULL, 0, 0, 0, NULL},

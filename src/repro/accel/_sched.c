@@ -22,24 +22,30 @@
  *     buffered per entry and written back before any engine code can
  *     observe them.
  *
- * Two more shapes retire natively (DESIGN.md section 14, "Native shapes"):
+ * Misses retire natively too (DESIGN.md section 14, "One home-word row"):
  *
  *   - the Neat read-hit gate: with a `versions` descriptor field a resident
  *     read retires as a hit only while the copy's fetch version equals the
  *     line version (both dicts re-read per record); no write retires;
- *   - the DLS word path (the `word` descriptor): a load/store to a line
- *     resident at its word home runs the resident branch of
- *     DLSEngine.access natively - both legs through the mesh kernel's
- *     chain entry (repro_mesh_chain, by tile id and message type; the
- *     mesh kernel resolves the route and counts the traffic itself),
- *     serialization, L2 bookkeeping, history flags and miss typing.  It
- *     declines (and calls access) whenever a Python-side effect could be
- *     due: an unclassified page, a private page owned by another core, a
- *     non-resident line.  It re-reads the page table and the set dict
- *     every record and holds no borrowed pointer across any Python call,
- *     so it needs no mirror and no observer.  Its order-independent
- *     integer counters (energy, slice and miss-type counts) accumulate
- *     natively and are folded into the Python objects by finish().
+ *   - the home-word row (the `row` descriptor, one retire body behind one
+ *     admission gate per family): a word access at the line's home L2 -
+ *     the paper's remote access (adaptive), a write-shared line (phase),
+ *     Neat's eager write-through of a copy-less store and every DLS
+ *     access.  The body reserves both legs through the mesh kernel's chain
+ *     entry (repro_mesh_chain, by tile id and message type; the mesh
+ *     kernel resolves the route and counts the traffic itself), then does
+ *     the serialization, L2 bookkeeping, history flags and miss typing.
+ *     Each gate declines (and the record goes to access) before the first
+ *     side effect whenever Python would do something the row does not,
+ *     and counts the decline by reason.  The row re-reads the page table,
+ *     the home memo, the set dict and the family's side tables every
+ *     record; its only Python calls (the classifier's on_remote_access
+ *     and on_write) are its last steps, so no borrowed pointer outlives
+ *     them and the row needs no mirror of its own.  Its order-independent
+ *     integer counters
+ *     (energy, L1/slice/miss-type counts, the families' own counters)
+ *     accumulate natively and are folded into the Python objects by
+ *     finish().
  *
  * The kernel exits to Python only on cold events: an access() miss calls
  * the engine directly (the loop stays native around it), while
@@ -103,7 +109,39 @@
 #define K_MSG_WRITE_REQ 1
 #define K_MSG_WORD_REPLY 4
 #define K_MSG_WORD_WRITE_ACK 5
-#define K_SCHED_ABI_VERSION 3
+#define K_SCHED_ABI_VERSION 4
+
+/* The home-word row's admission gates, one per family. */
+enum { GATE_DLS = 1, GATE_ADAPTIVE, GATE_PHASE, GATE_NEAT };
+
+/* Why a record the row saw went to access() (sched.decline.<name>). */
+enum {
+    D_PAGE_ABSENT,          /* DLS: first touch classifies the page */
+    D_PAGE_FOREIGN,         /* another core's private page: transition due */
+    D_PAGE_INSTRUCTION,     /* DLS: access() raises */
+    D_HOME_UNMEMOIZED,      /* no _line_home_cache entry: home resolution */
+    D_L2_MISS,              /* not resident at the home: off-chip fill */
+    D_L1_RESIDENT,          /* the requester holds a copy (e.g. an upgrade) */
+    D_FOREIGN_COPIES,       /* a coherence round runs between the legs */
+    D_PRIVATE_MODE,         /* the requester is (or votes) a private sharer */
+    D_UNTRACKED,            /* locality_entry would allocate or replace */
+    D_WOULD_PROMOTE,        /* the access could reach the promotion threshold */
+    D_TIMESTAMP_POLICY,     /* the Timestamp check needs the L1 set's state */
+    D_ONE_WAY,              /* Adapt1-way: remote is terminal */
+    D_PHASE_NOT_WRITE_SHARED,
+    D_PHASE_DECAY,          /* a release epoch passed: the phase decays */
+    D_NEAT_READ,            /* Neat read miss: a line fill */
+    D_NEAT_STALE,           /* Neat read of a stale copy: self-invalidation */
+    N_DECLINES,
+    ADMIT = N_DECLINES      /* gate verdict: retire */
+};
+
+static const char *const decline_names[N_DECLINES] = {
+    "page_absent", "page_foreign", "page_instruction", "home_unmemoized",
+    "l2_miss", "l1_resident", "foreign_copies", "private_mode", "untracked",
+    "would_promote", "timestamp_policy", "one_way", "phase_not_write_shared",
+    "phase_decay", "neat_read", "neat_stale",
+};
 
 /* Mesh kernel entry points (_kernel.c, same shared object). */
 extern int repro_mesh_check(PyObject *obj);
@@ -187,32 +225,59 @@ typedef struct {
     PyObject *v_copies;          /* strong: per-core {line: fetch version} */
     PyObject *v_lines;           /* strong: {line: line version} */
 
-    /* DLS word path (has_word = 0 when the engine has none). */
-    int has_word;
+    /* The home-word row (has_row = 0 when the engine has none). */
+    int has_row;
+    int gate;                    /* GATE_* */
     PyObject *w_engine;          /* strong: energy/miss_stats read at fold */
     PyObject *w_mesh;            /* strong: the network's MeshKernel */
-    PyObject *w_pages;           /* strong: page table {page: (kind, owner)} */
-    PyObject *w_private;         /* strong: PageKind.PRIVATE */
-    PyObject *w_shared;          /* strong: PageKind.SHARED */
+    PyObject *w_l1s;             /* strong: per-core L1Cache (miss counts) */
     PyObject *w_slices;          /* strong: per-tile L2Slice objects */
     PyObject *w_stores;          /* strong: per-tile L2 SetAssocCache */
     PyObject *w_sets;            /* strong: per-tile store._sets lists */
     PyObject *w_history;         /* strong: per-core history-flag dicts */
     PyObject *w_line_type;       /* strong: L2Line */
-    long long w_page_size;
     long long w_words_per_line;
     long long w_set_mask;
     double w_l2_latency;
     Py_ssize_t off_l2_last_use, off_l2_last_access, off_l2_dirty;
     Py_ssize_t off_l2_dirty_words, off_l2_busy;
+    /* DLS gate: the word home, from the page table. */
+    PyObject *w_pages;           /* strong: page table {page: (kind, owner)} */
+    PyObject *w_private;         /* strong: PageKind.PRIVATE */
+    PyObject *w_shared;          /* strong: PageKind.SHARED */
+    long long w_page_size;
+    /* Directory and Neat gates: the memoized line home. */
+    PyObject *w_homes;           /* strong: {line: (home, owner)} */
+    PyObject *w_dir_type;        /* strong: DirectoryEntry */
+    Py_ssize_t off_l2_directory, off_l2_locality, off_dir_sharers, off_dir_owner;
+    /* Adaptive gate: the locality classifier. */
+    PyObject *w_classifier;      /* strong: vote counters read at fold */
+    PyObject *w_on_remote;       /* strong: classifier.on_remote_access */
+    PyObject *w_on_write;        /* strong: classifier.on_write */
+    PyObject *w_remote;          /* strong: SharerMode.REMOTE */
+    PyObject *w_entry_type;      /* strong: CoreLocality */
+    Py_ssize_t off_e_mode, off_e_util, off_e_active;
+    long long w_pct;
+    long long w_limited_k;       /* 0 = Complete (untracked cores allocate) */
+    int w_policy;                /* ADMIT (RAT), D_TIMESTAMP_POLICY or D_ONE_WAY */
+    /* Phase gate. */
+    PyObject *w_phases;          /* strong: {line: [phase, core, epoch]} */
+    long long w_write_shared;
+    Py_ssize_t off_epoch;        /* engine._epoch */
+    /* Neat gate. */
+    PyObject *w_versions;        /* strong: {line: line version} */
     /* Natively accumulated counters, folded in by finish(). */
+    long long *w_core_misses;    /* per-core L1 misses (all gates but DLS) */
     long long *w_slice_hits;
     long long *w_slice_reads;
     long long *w_slice_writes;
     long long w_miss[K_MISS_TYPES];
+    long long w_votes;           /* Limited_k majority votes (adaptive) */
 
-    /* Retirements and exits by reason (telemetry; RunStats-neutral). */
-    long long word_r, word_w;    /* records retired by the word path */
+    /* Retirements, declines and exits by reason (telemetry;
+     * RunStats-neutral). */
+    long long word_r, word_w;    /* records retired by the row */
+    long long declines[N_DECLINES];
     long long exits_access;      /* records handed to engine.access */
     long long exits_sync;        /* sync records returned to Python */
 } SchedObject;
@@ -553,7 +618,7 @@ slot_double(SchedObject *k, PyObject *obj, Py_ssize_t off, double *out)
 {
     PyObject *v = *SLOT(obj, off);
     if (v == NULL) {
-        PyErr_SetString(PyExc_AttributeError, "unset AccessResult slot");
+        PyErr_SetString(PyExc_AttributeError, "unset __slots__ member");
         return -1;
     }
     double d = PyFloat_AsDouble(v);
@@ -565,7 +630,7 @@ slot_double(SchedObject *k, PyObject *obj, Py_ssize_t off, double *out)
 }
 
 /* ------------------------------------------------------------------ */
-/* Native shapes: the Neat read-hit gate and the DLS word path         */
+/* The Neat read-hit gate and the home-word row                        */
 /* ------------------------------------------------------------------ */
 
 /* NeatEngine.access's validity test for a resident read:
@@ -619,42 +684,215 @@ set_slot(PyObject *obj, Py_ssize_t off, PyObject *value)
     return 0;
 }
 
-/* The resident branch of DLSEngine.access, in the same order.  Returns 1
- * when the record retired (latency and L2 waiting time in the out
- * parameters), 0 when it must go to access() untouched, -1 on error.
- * Every decline happens before the first side effect. */
+static inline int
+decline(SchedObject *k, int reason)
+{
+    k->declines[reason] += 1;
+    return 0;
+}
+
+/* A slot that must be set; AttributeError when it is not. */
+static inline PyObject *
+slot_get(PyObject *obj, Py_ssize_t off)
+{
+    PyObject *v = *SLOT(obj, off);
+    if (v == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "unset __slots__ member");
+    }
+    return v;
+}
+
+static inline int
+slot_ll(PyObject *obj, Py_ssize_t off, long long *out)
+{
+    PyObject *v = slot_get(obj, off);
+    if (v == NULL) {
+        return -1;
+    }
+    *out = PyLong_AsLongLong(v);
+    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+}
+
+/* DirectoryEntry.foreign_copies: 1, 0, or -1 on error. */
 static int
-word_access(SchedObject *k, long long core, int is_write, long long address,
-            double now, double *latency, double *l2_waiting)
+foreign_copies(SchedObject *k, PyObject *dirent, long long core, int is_write)
+{
+    if (is_write) {
+        PyObject *sharers = slot_get(dirent, k->off_dir_sharers);
+        if (sharers == NULL) {
+            return -1;
+        }
+        if (!PySet_Check(sharers)) {
+            PyErr_SetString(PyExc_TypeError, "sharers must be a set");
+            return -1;
+        }
+        Py_ssize_t n = PySet_GET_SIZE(sharers);
+        if (n != 1) {
+            return n > 1;
+        }
+        int mine = PySet_Contains(sharers, k->core_objs[core]);
+        return mine < 0 ? -1 : !mine;
+    }
+    long long owner;
+    if (slot_ll(dirent, k->off_dir_owner, &owner) < 0) {
+        return -1;
+    }
+    return owner >= 0 && owner != core;
+}
+
+/* The adaptive gate: _classify_requester serves the requester remotely
+ * with no side effect the row does not repeat.  Either its tracked entry
+ * is REMOTE and this access cannot reach a promotion threshold (RAT
+ * policy), or Limited_k has every slot active (allocation fails) and the
+ * majority votes REMOTE.  Returns a decline reason, ADMIT with *centry the
+ * tracked entry (NULL after a vote), or -1 on error. */
+static int
+adaptive_gate(SchedObject *k, PyObject *l2line, long long core, PyObject **centry)
+{
+    PyObject *entries = slot_get(l2line, k->off_l2_locality);
+    if (entries == NULL) {
+        return -1;
+    }
+    if (entries == Py_None) {
+        return D_UNTRACKED;
+    }
+    if (!PyDict_CheckExact(entries)) {
+        PyErr_SetString(PyExc_TypeError, "locality state must be a dict");
+        return -1;
+    }
+    PyObject *mine = PyDict_GetItemWithError(entries, k->core_objs[core]);
+    if (mine != NULL) {
+        if (Py_TYPE(mine) != (PyTypeObject *)k->w_entry_type) {
+            PyErr_SetString(PyExc_TypeError, "locality entry of the wrong type");
+            return -1;
+        }
+        if (*SLOT(mine, k->off_e_mode) != k->w_remote) {
+            return D_PRIVATE_MODE;
+        }
+        if (k->w_policy != ADMIT) {
+            return k->w_policy;
+        }
+        /* on_remote_access promotes at remote_util >= RAT[rat_level], or
+         * at remote_util >= PCT with a free L1 way.  No RAT level is below
+         * PCT (ProtocolConfig requires rat_max >= pct), so staying under
+         * PCT stays under both. */
+        long long util;
+        if (slot_ll(mine, k->off_e_util, &util) < 0) {
+            return -1;
+        }
+        if (util + 1 >= k->w_pct) {
+            return D_WOULD_PROMOTE;
+        }
+        *centry = mine;
+        return ADMIT;
+    }
+    if (PyErr_Occurred()) {
+        return -1;
+    }
+    Py_ssize_t tracked = PyDict_GET_SIZE(entries);
+    if (k->w_limited_k == 0 || tracked < k->w_limited_k) {
+        return D_UNTRACKED;
+    }
+    Py_ssize_t pos = 0, remote = 0;
+    PyObject *key, *entry;
+    while (PyDict_Next(entries, &pos, &key, &entry)) {
+        if (Py_TYPE(entry) != (PyTypeObject *)k->w_entry_type) {
+            PyErr_SetString(PyExc_TypeError, "locality entry of the wrong type");
+            return -1;
+        }
+        PyObject *active = slot_get(entry, k->off_e_active);
+        int truth = active == NULL ? -1 : PyObject_IsTrue(active);
+        if (truth <= 0) {
+            return truth < 0 ? -1 : D_UNTRACKED;  /* an inactive slot is replaced */
+        }
+        remote += *SLOT(entry, k->off_e_mode) == k->w_remote;
+    }
+    if (2 * remote <= tracked) {
+        return D_PRIVATE_MODE;
+    }
+    *centry = NULL;
+    return ADMIT;
+}
+
+/* The phase gate: the line is WRITE_SHARED and no decay is due. */
+static int
+phase_gate(SchedObject *k, PyObject *line_o, PyObject **info)
+{
+    PyObject *entry = PyDict_GetItemWithError(k->w_phases, line_o);
+    if (entry == NULL) {
+        return PyErr_Occurred() ? -1 : D_PHASE_NOT_WRITE_SHARED;
+    }
+    if (!PyList_CheckExact(entry) || PyList_GET_SIZE(entry) != 3) {
+        PyErr_SetString(PyExc_TypeError, "line phase must be a 3-item list");
+        return -1;
+    }
+    long long phase = PyLong_AsLongLong(PyList_GET_ITEM(entry, 0));
+    if (phase == -1 && PyErr_Occurred()) {
+        return -1;
+    }
+    if (phase != k->w_write_shared) {
+        return D_PHASE_NOT_WRITE_SHARED;
+    }
+    long long epoch, since = PyLong_AsLongLong(PyList_GET_ITEM(entry, 2));
+    if ((since == -1 && PyErr_Occurred())
+        || slot_ll(k->w_engine, k->off_epoch, &epoch) < 0) {
+        return -1;
+    }
+    if (epoch > since) {
+        return D_PHASE_DECAY;
+    }
+    *info = entry;
+    return ADMIT;
+}
+
+/* The home-word row: one record's word access at its home L2.  Returns 1
+ * when the record retired (latency and L2 waiting time in the out
+ * parameters), 0 when a gate declined it (counted by reason; access()
+ * then runs untouched), -1 on error.  `resident` says whether the
+ * requester's L1 holds a mirrored copy.  Every decline happens before the
+ * first side effect. */
+static int
+home_word(SchedObject *k, long long core, int is_write, long long address,
+          double now, int resident, double *latency, double *l2_waiting)
 {
     long long num_tiles = k->num_cores;
     long long line = address >> K_LINE_BITS;
     long long word = (address >> K_WORD_BITS) & (k->w_words_per_line - 1);
-
-    /* Home: placement.data_word_home minus its classification effects. */
-    PyObject *page = PyLong_FromLongLong(address / k->w_page_size);
-    if (page == NULL) {
-        return -1;
-    }
-    PyObject *entry = PyDict_GetItemWithError(k->w_pages, page);
-    Py_DECREF(page);
-    if (entry == NULL || !PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 2) {
-        return PyErr_Occurred() ? -1 : 0;  /* first touch: classify */
-    }
-    PyObject *kind = PyTuple_GET_ITEM(entry, 0);
+    int gate = k->gate;
     long long home;
-    if (kind == k->w_shared) {
-        home = (line * k->w_words_per_line + word) % num_tiles;
-    }
-    else if (kind == k->w_private) {
-        home = PyLong_AsLongLong(PyTuple_GET_ITEM(entry, 1));
-        if (home != core) {
-            /* Another core's page: transition and flush are due. */
-            return PyErr_Occurred() ? -1 : 0;
+
+    /* ---- Admission: the requester and the home. */
+    if (gate == GATE_DLS) {
+        /* placement.data_word_home minus its classification effects. */
+        PyObject *page = PyLong_FromLongLong(address / k->w_page_size);
+        if (page == NULL) {
+            return -1;
+        }
+        PyObject *entry = PyDict_GetItemWithError(k->w_pages, page);
+        Py_DECREF(page);
+        if (entry == NULL || !PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 2) {
+            return PyErr_Occurred() ? -1 : decline(k, D_PAGE_ABSENT);
+        }
+        PyObject *kind = PyTuple_GET_ITEM(entry, 0);
+        if (kind == k->w_shared) {
+            home = (line * k->w_words_per_line + word) % num_tiles;
+        }
+        else if (kind == k->w_private) {
+            home = PyLong_AsLongLong(PyTuple_GET_ITEM(entry, 1));
+            if (home != core) {
+                return PyErr_Occurred() ? -1 : decline(k, D_PAGE_FOREIGN);
+            }
+        }
+        else {
+            return decline(k, D_PAGE_INSTRUCTION);
         }
     }
-    else {
-        return 0;  /* instruction page: access() raises */
+    else if (resident) {
+        return decline(k, gate == GATE_NEAT && !is_write ? D_NEAT_STALE
+                                                         : D_L1_RESIDENT);
+    }
+    else if (gate == GATE_NEAT && !is_write) {
+        return decline(k, D_NEAT_READ);
     }
 
     PyObject *line_o = PyLong_FromLongLong(line);
@@ -662,27 +900,79 @@ word_access(SchedObject *k, long long core, int is_write, long long address,
         return -1;
     }
     int rc = 0;
+    if (gate != GATE_DLS) {
+        /* _chain_probe: the memoized home, valid for this requester. */
+        PyObject *cached = PyDict_GetItemWithError(k->w_homes, line_o);
+        if (cached == NULL) {
+            rc = PyErr_Occurred() ? -1 : decline(k, D_HOME_UNMEMOIZED);
+            goto done;
+        }
+        if (!PyTuple_Check(cached) || PyTuple_GET_SIZE(cached) != 2) {
+            PyErr_SetString(PyExc_TypeError, "home memo entries must be pairs");
+            goto fail;
+        }
+        home = PyLong_AsLongLong(PyTuple_GET_ITEM(cached, 0));
+        long long owner = PyLong_AsLongLong(PyTuple_GET_ITEM(cached, 1));
+        if (PyErr_Occurred()) {
+            goto fail;
+        }
+        if (owner >= 0 && owner != core) {
+            rc = decline(k, D_PAGE_FOREIGN);
+            goto done;
+        }
+        if (home < 0 || home >= num_tiles) {
+            PyErr_SetString(PyExc_ValueError, "memoized home outside the mesh");
+            goto fail;
+        }
+    }
     PyObject *sets = PyList_GET_ITEM(k->w_sets, (Py_ssize_t)home);
     PyObject *bucket = PyList_GET_ITEM(sets, (Py_ssize_t)(line & k->w_set_mask));
     PyObject *l2line = PyDict_GetItemWithError(bucket, line_o);
-    PyObject *hist = PyList_GET_ITEM(k->w_history, (Py_ssize_t)core);
-    if (l2line == NULL || Py_TYPE(l2line) != (PyTypeObject *)k->w_line_type
-        || !PyDict_Check(hist)) {
-        goto done;  /* L2 miss: off-chip fill */
+    if (l2line == NULL) {
+        rc = PyErr_Occurred() ? -1 : decline(k, D_L2_MISS);
+        goto done;
     }
-    PyObject *busy_o = *SLOT(l2line, k->off_l2_busy);
-    PyObject *mask_o = *SLOT(l2line, k->off_l2_dirty_words);
-    if (busy_o == NULL || mask_o == NULL) {
-        PyErr_SetString(PyExc_AttributeError, "unset L2Line slot");
-        goto fail;
-    }
-    double busy = PyFloat_AsDouble(busy_o);
-    long long mask = PyLong_AsLongLong(mask_o);
-    if (PyErr_Occurred()) {
+    if (Py_TYPE(l2line) != (PyTypeObject *)k->w_line_type) {
+        PyErr_SetString(PyExc_TypeError, "L2 set entry of the wrong type");
         goto fail;
     }
 
-    /* Retiring.  Request and reply legs: MeshNetwork.traverse_chain. */
+    /* ---- Admission: the family's gate. */
+    PyObject *centry = NULL;     /* adaptive: the tracked entry, or a vote */
+    PyObject *info = NULL;       /* phase: [phase, core, epoch] */
+    if (gate == GATE_ADAPTIVE || gate == GATE_PHASE) {
+        PyObject *dirent = slot_get(l2line, k->off_l2_directory);
+        if (dirent == NULL) {
+            goto fail;
+        }
+        if (Py_TYPE(dirent) != (PyTypeObject *)k->w_dir_type) {
+            PyErr_SetString(PyExc_TypeError, "directory entry of the wrong type");
+            goto fail;
+        }
+        int verdict = foreign_copies(k, dirent, core, is_write);
+        if (verdict > 0) {
+            verdict = D_FOREIGN_COPIES;
+        }
+        else if (verdict == 0) {
+            verdict = gate == GATE_ADAPTIVE ? adaptive_gate(k, l2line, core, &centry)
+                                            : phase_gate(k, line_o, &info);
+        }
+        if (verdict < 0) {
+            goto fail;
+        }
+        if (verdict != ADMIT) {
+            rc = decline(k, verdict);
+            goto done;
+        }
+    }
+    double busy;
+    long long mask;
+    if (slot_double(k, l2line, k->off_l2_busy, &busy) < 0
+        || slot_ll(l2line, k->off_l2_dirty_words, &mask) < 0) {
+        goto fail;
+    }
+
+    /* ---- Retiring.  Request and reply legs: MeshNetwork.traverse_chain. */
     double t1, reply_t;
     if (repro_mesh_chain(k->w_mesh, core, home,
                          is_write ? K_MSG_WRITE_REQ : K_MSG_READ_REQ, now,
@@ -716,6 +1006,7 @@ word_access(SchedObject *k, long long core, int is_write, long long address,
     }
 
     /* History flags and miss type (_classify_miss, serviced remotely). */
+    PyObject *hist = PyList_GET_ITEM(k->w_history, (Py_ssize_t)core);
     PyObject *flags_o = PyDict_GetItemWithError(hist, line_o);
     long long flags = flags_o == NULL ? 0 : PyLong_AsLongLong(flags_o);
     if (PyErr_Occurred()) {
@@ -765,13 +1056,64 @@ word_access(SchedObject *k, long long core, int is_write, long long address,
         goto fail;
     }
 
-    *latency = reply_t - now;
-    *l2_waiting = wait;
+    /* The family's own state, written in place. */
+    if (gate == GATE_ADAPTIVE) {
+        k->w_votes += centry == NULL;
+    }
+    else if (gate == GATE_PHASE) {
+        PyList_SetItem(info, 1, Py_NewRef(k->core_objs[core]));
+    }
+    else if (gate == GATE_NEAT) {
+        /* _downgrade_settle of a copy-less write: the version bump. */
+        PyObject *old = PyDict_GetItemWithError(k->w_versions, line_o);
+        long long version = old == NULL ? 0 : PyLong_AsLongLong(old);
+        if (PyErr_Occurred()) {
+            goto fail;
+        }
+        PyObject *bumped = PyLong_FromLongLong(version + 1);
+        int set = bumped == NULL ? -1 : PyDict_SetItem(k->w_versions, line_o, bumped);
+        Py_XDECREF(bumped);
+        if (set < 0) {
+            goto fail;
+        }
+    }
+    k->w_core_misses[core] += 1;
     if (is_write) {
         k->word_w += 1;
     }
     else {
         k->word_r += 1;
+    }
+    *latency = reply_t - now;
+    *l2_waiting = wait;
+
+    if (gate == GATE_ADAPTIVE) {
+        /* Last, so no borrowed pointer outlives them, and in
+         * _service_miss's order: the classifier's own remote-access step
+         * (counter, utilization, active bit), then on a write its reset of
+         * the other remote sharers.  The RAT policy reads neither L1 hint
+         * below the thresholds the gate checked, so none is computed. */
+        PyObject *entry = centry == NULL ? Py_None : centry;
+        PyObject *argv[4] = {Py_NewRef(l2line), Py_NewRef(entry), Py_None, Py_False};
+        PyObject *promoted = PyObject_Vectorcall(k->w_on_remote, argv, 4, NULL);
+        int truth = promoted == NULL ? -1 : PyObject_IsTrue(promoted);
+        Py_XDECREF(promoted);
+        if (truth == 0 && is_write) {
+            PyObject *args[2] = {l2line, k->core_objs[core]};
+            PyObject *none = PyObject_Vectorcall(k->w_on_write, args, 2, NULL);
+            truth = none == NULL ? -1 : 0;
+            Py_XDECREF(none);
+        }
+        Py_DECREF(entry);
+        Py_DECREF(l2line);
+        if (truth != 0) {
+            if (truth > 0) {
+                PyErr_SetString(PyExc_RuntimeError,
+                                "on_remote_access promoted a sharer the "
+                                "home-word row admitted");
+            }
+            goto fail;
+        }
     }
     rc = 1;
     goto done;
@@ -779,9 +1121,6 @@ fail:
     rc = -1;
 done:
     Py_DECREF(line_o);
-    if (rc == 0 && PyErr_Occurred()) {
-        rc = -1;
-    }
     return rc;
 }
 
@@ -808,17 +1147,18 @@ add_attr(PyObject *obj, const char *name, long long delta)
     return rc;
 }
 
-/* Fold the word path's order-independent counters into the engine's
- * Python objects (integer sums, so the point of folding cannot change a
+/* Fold the row's order-independent counters into the engine's Python
+ * objects (integer sums, so the point of folding cannot change a
  * result).  The energy and miss-stat objects are read here, not at
  * construction: reset_stats replaces them between passes. */
 static int
-fold_word_counters(SchedObject *k)
+fold_row_counters(SchedObject *k)
 {
-    if (!k->has_word) {
+    if (!k->has_row) {
         return 0;
     }
     long long words = k->word_r + k->word_w;
+    int directory = k->gate == GATE_ADAPTIVE || k->gate == GATE_PHASE;
     PyObject *energy = PyObject_GetAttrString(k->w_engine, "energy");
     if (energy == NULL) {
         return -1;
@@ -826,7 +1166,9 @@ fold_word_counters(SchedObject *k)
     int rc = add_attr(energy, "l1d_tag_accesses", words) < 0
              || add_attr(energy, "l2_tag_accesses", words) < 0
              || add_attr(energy, "l2_word_reads", k->word_r) < 0
-             || add_attr(energy, "l2_word_writes", k->word_w) < 0;
+             || add_attr(energy, "l2_word_writes", k->word_w) < 0
+             || (directory && add_attr(energy, "directory_lookups", words) < 0)
+             || (directory && add_attr(energy, "directory_updates", words) < 0);
     Py_DECREF(energy);
     if (rc) {
         return -1;
@@ -863,8 +1205,28 @@ fold_word_counters(SchedObject *k)
             return -1;
         }
         k->w_slice_hits[h] = k->w_slice_reads[h] = k->w_slice_writes[h] = 0;
+        /* DLS leaves the L1 alone; every other gate services an L1 miss. */
+        PyObject *l1 = PyList_GET_ITEM(k->w_l1s, (Py_ssize_t)h);
+        if (k->gate != GATE_DLS && add_attr(l1, "misses", k->w_core_misses[h]) < 0) {
+            return -1;
+        }
+        k->w_core_misses[h] = 0;
     }
-    k->has_word = 0;  /* folded once; the kernel is done */
+    if (k->gate == GATE_ADAPTIVE) {
+        /* Each vote followed a failed Limited_k allocation. */
+        rc = add_attr(k->w_classifier, "vote_decisions", k->w_votes) < 0
+             || add_attr(k->w_classifier, "allocation_failures", k->w_votes) < 0;
+    }
+    else if (k->gate == GATE_PHASE) {
+        rc = add_attr(k->w_engine, "phase_word_accesses", words) < 0;
+    }
+    else if (k->gate == GATE_NEAT) {
+        rc = add_attr(k->w_engine, "write_throughs", words) < 0;
+    }
+    if (rc) {
+        return -1;
+    }
+    k->has_row = 0;  /* folded once; the kernel is done */
     return 0;
 }
 
@@ -923,6 +1285,7 @@ Sched_dealloc(SchedObject *k)
     PyMem_Free(k->map);
     PyMem_Free(k->dirty);
     PyMem_Free(k->stores);
+    PyMem_Free(k->w_core_misses);
     PyMem_Free(k->w_slice_hits);
     PyMem_Free(k->w_slice_reads);
     PyMem_Free(k->w_slice_writes);
@@ -941,14 +1304,24 @@ Sched_dealloc(SchedObject *k)
     Py_XDECREF(k->v_lines);
     Py_XDECREF(k->w_engine);
     Py_XDECREF(k->w_mesh);
-    Py_XDECREF(k->w_pages);
-    Py_XDECREF(k->w_private);
-    Py_XDECREF(k->w_shared);
+    Py_XDECREF(k->w_l1s);
     Py_XDECREF(k->w_slices);
     Py_XDECREF(k->w_stores);
     Py_XDECREF(k->w_sets);
     Py_XDECREF(k->w_history);
     Py_XDECREF(k->w_line_type);
+    Py_XDECREF(k->w_pages);
+    Py_XDECREF(k->w_private);
+    Py_XDECREF(k->w_shared);
+    Py_XDECREF(k->w_homes);
+    Py_XDECREF(k->w_dir_type);
+    Py_XDECREF(k->w_classifier);
+    Py_XDECREF(k->w_on_remote);
+    Py_XDECREF(k->w_on_write);
+    Py_XDECREF(k->w_remote);
+    Py_XDECREF(k->w_entry_type);
+    Py_XDECREF(k->w_phases);
+    Py_XDECREF(k->w_versions);
     Py_TYPE(k)->tp_free((PyObject *)k);
 }
 
@@ -1048,56 +1421,169 @@ adopt_versions(SchedObject *k, PyObject *fast)
     return 0;
 }
 
-/* DLS word-path descriptor (DLSEngine.scheduler_word_path). */
+/* Each of `names` as a member offset of `type` into *outs[i]; -1 with the
+ * error set when one is not an object slot. */
 static int
-adopt_word_path(SchedObject *k, PyObject *word)
+offsets(PyObject *type, const char *const *names, Py_ssize_t *const *outs, int n)
 {
-    if (!PyDict_Check(word)) {
-        PyErr_SetString(PyExc_TypeError, "word-path descriptor must be a dict");
+    for (int i = 0; i < n; i++) {
+        *outs[i] = member_offset(type, names[i]);
+        if (*outs[i] < 0) {
+            return -1;
+        }
+    }
+    return 0;
+}
+
+/* A descriptor field, of `type` unless that is NULL, held strongly in
+ * *slot. */
+static int
+desc_ref(PyObject *desc, const char *name, PyTypeObject *type, PyObject **slot)
+{
+    PyObject *v = desc_get(desc, name);
+    if (v == NULL) {
         return -1;
+    }
+    if (type != NULL && !PyObject_TypeCheck(v, type)) {
+        PyErr_Format(PyExc_TypeError, "descriptor %s must be a %s", name,
+                     type->tp_name);
+        return -1;
+    }
+    *slot = Py_NewRef(v);
+    return 0;
+}
+
+/* The gate-specific fields of the row descriptor. */
+static int
+adopt_gate(SchedObject *k, PyObject *row)
+{
+    if (k->gate == GATE_DLS) {
+        if (desc_ref(row, "pages", &PyDict_Type, &k->w_pages) < 0
+            || desc_ref(row, "private", NULL, &k->w_private) < 0
+            || desc_ref(row, "shared", NULL, &k->w_shared) < 0
+            || desc_ll(row, "page_size", &k->w_page_size) < 0) {
+            return -1;
+        }
+        if (k->w_page_size <= 0) {
+            PyErr_SetString(PyExc_ValueError, "page size must be positive");
+            return -1;
+        }
+        return 0;
+    }
+    if (desc_ref(row, "homes", &PyDict_Type, &k->w_homes) < 0) {
+        return -1;
+    }
+    if (k->gate == GATE_NEAT) {
+        return desc_ref(row, "versions", &PyDict_Type, &k->w_versions);
+    }
+    static const char *const l2_names[] = {"directory", "locality"};
+    static const char *const dir_names[] = {"sharers", "owner"};
+    if (desc_ref(row, "directory_type", &PyType_Type, &k->w_dir_type) < 0
+        || offsets(k->w_line_type, l2_names,
+                   (Py_ssize_t *const[]){&k->off_l2_directory, &k->off_l2_locality}, 2) < 0
+        || offsets(k->w_dir_type, dir_names,
+                   (Py_ssize_t *const[]){&k->off_dir_sharers, &k->off_dir_owner}, 2) < 0) {
+        return -1;
+    }
+    if (k->gate == GATE_PHASE) {
+        if (desc_ref(row, "phases", &PyDict_Type, &k->w_phases) < 0
+            || desc_ll(row, "write_shared", &k->w_write_shared) < 0) {
+            return -1;
+        }
+        k->off_epoch = member_offset((PyObject *)Py_TYPE(k->w_engine), "_epoch");
+        return k->off_epoch < 0 ? -1 : 0;
+    }
+    /* Adaptive.  `policy` names the decline of a tracked REMOTE entry, or
+     * is None under the RAT policy, which the row retires. */
+    static const char *const entry_names[] = {"mode", "remote_util", "active"};
+    PyObject *policy = desc_get(row, "policy");
+    if (policy == NULL
+        || desc_ref(row, "classifier", NULL, &k->w_classifier) < 0
+        || desc_ref(row, "on_remote_access", NULL, &k->w_on_remote) < 0
+        || desc_ref(row, "on_write", NULL, &k->w_on_write) < 0
+        || desc_ref(row, "remote", NULL, &k->w_remote) < 0
+        || desc_ref(row, "entry_type", &PyType_Type, &k->w_entry_type) < 0
+        || desc_ll(row, "pct", &k->w_pct) < 0
+        || desc_ll(row, "limited_k", &k->w_limited_k) < 0
+        || offsets(k->w_entry_type, entry_names,
+                   (Py_ssize_t *const[]){&k->off_e_mode, &k->off_e_util,
+                                         &k->off_e_active}, 3) < 0) {
+        return -1;
+    }
+    k->w_policy = policy == Py_None ? ADMIT : -1;
+    for (int d = 0; d < N_DECLINES && PyUnicode_Check(policy); d++) {
+        if (PyUnicode_CompareWithASCIIString(policy, decline_names[d]) == 0) {
+            k->w_policy = d;
+        }
+    }
+    if (k->w_policy < 0 || !PyCallable_Check(k->w_on_remote)
+        || !PyCallable_Check(k->w_on_write)) {
+        PyErr_SetString(PyExc_ValueError, "malformed adaptive gate descriptor");
+        return -1;
+    }
+    return 0;
+}
+
+/* The home-word row descriptor (ProtocolEngineBase.scheduler_word_path):
+ * the shared retire body's structures plus one family's gate fields. */
+static int
+adopt_row(SchedObject *k, PyObject *row)
+{
+    if (!PyDict_Check(row)) {
+        PyErr_SetString(PyExc_TypeError, "home-word row descriptor must be a dict");
+        return -1;
+    }
+    PyObject *gate = desc_get(row, "gate");
+    if (gate == NULL) {
+        return -1;
+    }
+    static const char *const gates[] = {"dls", "adaptive", "phase", "neat"};
+    for (int g = 0; g < 4 && PyUnicode_Check(gate); g++) {
+        if (PyUnicode_CompareWithASCIIString(gate, gates[g]) == 0) {
+            k->gate = GATE_DLS + g;
+        }
+    }
+    if (k->gate == 0) {
+        PyErr_SetString(PyExc_ValueError, "unknown home-word gate");
+        return -1;
+    }
+    if (k->gate != GATE_DLS && !k->has_fast) {
+        /* These gates decline on a resident L1 copy, which only the L1
+         * mirror knows: without a fast path the row stays off. */
+        return 0;
     }
     Py_ssize_t tiles = (Py_ssize_t)k->num_cores;
-    PyObject *engine = desc_get(word, "engine");
-    PyObject *mesh = desc_get(word, "mesh");
-    PyObject *pages = desc_get(word, "pages");
-    PyObject *private_ = desc_get(word, "private");
-    PyObject *shared = desc_get(word, "shared");
-    PyObject *line_type = desc_get(word, "line_type");
-    if (engine == NULL || mesh == NULL || pages == NULL || private_ == NULL
-        || shared == NULL || line_type == NULL) {
-        return -1;
-    }
-    if (!repro_mesh_check(mesh) || !PyDict_Check(pages)
-        || !PyType_Check(line_type)) {
-        PyErr_SetString(PyExc_TypeError, "malformed word-path descriptor");
-        return -1;
-    }
     long long l2_latency;
-    if (desc_ll(word, "page_size", &k->w_page_size) < 0
-        || desc_ll(word, "words_per_line", &k->w_words_per_line) < 0
-        || desc_ll(word, "set_mask", &k->w_set_mask) < 0
-        || desc_ll(word, "l2_latency", &l2_latency) < 0) {
+    static const char *const l2_names[] = {"last_use", "last_access", "dirty",
+                                           "dirty_words", "busy_until"};
+    if (desc_ref(row, "engine", NULL, &k->w_engine) < 0
+        || desc_ref(row, "mesh", NULL, &k->w_mesh) < 0
+        || desc_ref(row, "line_type", &PyType_Type, &k->w_line_type) < 0
+        || desc_ll(row, "words_per_line", &k->w_words_per_line) < 0
+        || desc_ll(row, "set_mask", &k->w_set_mask) < 0
+        || desc_ll(row, "l2_latency", &l2_latency) < 0
+        || desc_list(row, "l1s", tiles, &k->w_l1s) < 0
+        || desc_list(row, "slices", tiles, &k->w_slices) < 0
+        || desc_list(row, "stores", tiles, &k->w_stores) < 0
+        || desc_list(row, "sets", tiles, &k->w_sets) < 0
+        || desc_list(row, "history", tiles, &k->w_history) < 0
+        || offsets(k->w_line_type, l2_names,
+                   (Py_ssize_t *const[]){&k->off_l2_last_use, &k->off_l2_last_access,
+                                         &k->off_l2_dirty, &k->off_l2_dirty_words,
+                                         &k->off_l2_busy}, 5) < 0) {
         return -1;
     }
-    if (k->w_page_size <= 0 || k->w_words_per_line <= 0 || k->w_set_mask < 0) {
-        PyErr_SetString(PyExc_ValueError, "word-path geometry mismatch");
+    if (!repro_mesh_check(k->w_mesh)) {
+        PyErr_SetString(PyExc_TypeError, "row descriptor mesh must be a MeshKernel");
+        return -1;
+    }
+    if (k->w_words_per_line <= 0 || k->w_set_mask < 0) {
+        PyErr_SetString(PyExc_ValueError, "row geometry mismatch");
         return -1;
     }
     k->w_l2_latency = (double)l2_latency;
-    k->w_engine = Py_NewRef(engine);
-    k->w_mesh = Py_NewRef(mesh);
-    k->w_pages = Py_NewRef(pages);
-    k->w_private = Py_NewRef(private_);
-    k->w_shared = Py_NewRef(shared);
-    k->w_line_type = Py_NewRef(line_type);
-    if (desc_list(word, "slices", tiles, &k->w_slices) < 0
-        || desc_list(word, "stores", tiles, &k->w_stores) < 0
-        || desc_list(word, "sets", tiles, &k->w_sets) < 0
-        || desc_list(word, "history", tiles, &k->w_history) < 0) {
-        return -1;
-    }
-    /* Set lists never resize and set buckets are always dicts, so the
-     * per-record index needs no bounds check after this one. */
+    /* Set lists never resize, set buckets and history flags are always
+     * dicts, so the per-record index needs no check after this one. */
     for (Py_ssize_t h = 0; h < tiles; h++) {
         PyObject *sets = PyList_GET_ITEM(k->w_sets, h);
         if (!PyList_Check(sets) || PyList_GET_SIZE(sets) != k->w_set_mask + 1) {
@@ -1110,26 +1596,24 @@ adopt_word_path(SchedObject *k, PyObject *word)
                 return -1;
             }
         }
+        if (!PyDict_Check(PyList_GET_ITEM(k->w_history, h))) {
+            PyErr_SetString(PyExc_TypeError, "history flags must be dicts");
+            return -1;
+        }
     }
-    k->off_l2_last_use = member_offset(line_type, "last_use");
-    k->off_l2_last_access = member_offset(line_type, "last_access");
-    k->off_l2_dirty = member_offset(line_type, "dirty");
-    k->off_l2_dirty_words = member_offset(line_type, "dirty_words");
-    k->off_l2_busy = member_offset(line_type, "busy_until");
-    if (k->off_l2_last_use < 0 || k->off_l2_last_access < 0
-        || k->off_l2_dirty < 0 || k->off_l2_dirty_words < 0
-        || k->off_l2_busy < 0) {
-        return -1;
-    }
+    k->w_core_misses = PyMem_Calloc((size_t)tiles, sizeof(long long));
     k->w_slice_hits = PyMem_Calloc((size_t)tiles, sizeof(long long));
     k->w_slice_reads = PyMem_Calloc((size_t)tiles, sizeof(long long));
     k->w_slice_writes = PyMem_Calloc((size_t)tiles, sizeof(long long));
-    if (k->w_slice_hits == NULL || k->w_slice_reads == NULL
-        || k->w_slice_writes == NULL) {
+    if (k->w_core_misses == NULL || k->w_slice_hits == NULL
+        || k->w_slice_reads == NULL || k->w_slice_writes == NULL) {
         PyErr_NoMemory();
         return -1;
     }
-    k->has_word = 1;
+    if (adopt_gate(k, row) < 0) {
+        return -1;
+    }
+    k->has_row = 1;
     return 0;
 }
 
@@ -1138,14 +1622,14 @@ Sched_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
     PyObject *ops_cols, *addr_cols, *work_cols, *start_clocks;
     double l1_hit_latency;
-    PyObject *access, *result_type, *fast, *word;
+    PyObject *access, *result_type, *fast, *row;
     if (kwds != NULL && PyDict_GET_SIZE(kwds) != 0) {
         PyErr_SetString(PyExc_TypeError, "SchedKernel takes no keyword arguments");
         return NULL;
     }
     if (!PyArg_ParseTuple(args, "OOOOdOOOO", &ops_cols, &addr_cols, &work_cols,
                           &start_clocks, &l1_hit_latency, &access,
-                          &result_type, &fast, &word)) {
+                          &result_type, &fast, &row)) {
         return NULL;
     }
     SchedObject *k = (SchedObject *)type->tp_alloc(type, 0);
@@ -1346,7 +1830,7 @@ Sched_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         }
         k->has_fast = 1;
     }
-    if (word != Py_None && adopt_word_path(k, word) < 0) {
+    if (row != Py_None && adopt_row(k, row) < 0) {
         Py_DECREF(k);
         return NULL;
     }
@@ -1396,8 +1880,10 @@ Sched_run(SchedObject *k, PyObject *Py_UNUSED(ignored))
                 i += 1;
                 long long line = address >> K_LINE_BITS;
                 MapCell *cell = NULL;
+                int resident = 0;  /* a mirrored L1 copy, hit or not */
                 if (k->has_fast) {
                     cell = map_find(k, (line << k->core_bits) | core);
+                    resident = cell != NULL;
                     if (cell != NULL && op == K_OP_WRITE) {
                         /* Silent-write predicate: read the state slot per
                          * probe (never cached: the engine rewrites it
@@ -1422,10 +1908,10 @@ Sched_run(SchedObject *k, PyObject *Py_UNUSED(ignored))
                     }
                 }
                 int retired = 0;
-                if (cell == NULL && k->has_word) {
+                if (cell == NULL && k->has_row) {
                     double latency, wait;
-                    retired = word_access(k, core, op == K_OP_WRITE, address,
-                                          t, &latency, &wait);
+                    retired = home_word(k, core, op == K_OP_WRITE, address, t,
+                                        resident, &latency, &wait);
                     if (retired < 0) {
                         return NULL;
                     }
@@ -1775,14 +2261,26 @@ Sched_clocks(SchedObject *k, PyObject *Py_UNUSED(ignored))
 static PyObject *
 Sched_finish(SchedObject *k, PyObject *Py_UNUSED(ignored))
 {
-    if (flush_dirty(k) < 0 || fold_word_counters(k) < 0) {
+    if (flush_dirty(k) < 0 || fold_row_counters(k) < 0) {
         return NULL;
     }
     PyObject *hits_r = PyList_New((Py_ssize_t)k->num_cores);
     PyObject *hits_w = PyList_New((Py_ssize_t)k->num_cores);
     PyObject *rows = PyList_New((Py_ssize_t)k->num_cores);
-    if (hits_r == NULL || hits_w == NULL || rows == NULL) {
+    PyObject *declines = PyDict_New();
+    if (hits_r == NULL || hits_w == NULL || rows == NULL || declines == NULL) {
         goto fail;
+    }
+    for (int d = 0; d < N_DECLINES; d++) {
+        if (k->declines[d] == 0) {
+            continue;
+        }
+        PyObject *n = PyLong_FromLongLong(k->declines[d]);
+        int set = n == NULL ? -1 : PyDict_SetItemString(declines, decline_names[d], n);
+        Py_XDECREF(n);
+        if (set < 0) {
+            goto fail;
+        }
     }
     for (long long c = 0; c < k->num_cores; c++) {
         PyObject *r = PyLong_FromLongLong(k->hits_r[c]);
@@ -1803,17 +2301,19 @@ Sched_finish(SchedObject *k, PyObject *Py_UNUSED(ignored))
         }
         PyList_SET_ITEM(rows, (Py_ssize_t)c, row);
     }
-    PyObject *out = Py_BuildValue("(OOO(LLLL))", hits_r, hits_w, rows,
+    PyObject *out = Py_BuildValue("(OOO(LLLL)O)", hits_r, hits_w, rows,
                                   k->word_r, k->word_w, k->exits_access,
-                                  k->exits_sync);
+                                  k->exits_sync, declines);
     Py_DECREF(hits_r);
     Py_DECREF(hits_w);
     Py_DECREF(rows);
+    Py_DECREF(declines);
     return out;
 fail:
     Py_XDECREF(hits_r);
     Py_XDECREF(hits_w);
     Py_XDECREF(rows);
+    Py_XDECREF(declines);
     return NULL;
 }
 
@@ -1844,10 +2344,10 @@ static PyMethodDef Sched_methods[] = {
     {"clocks", (PyCFunction)Sched_clocks, METH_NOARGS,
      "Final per-core clocks as a list of floats."},
     {"finish", (PyCFunction)Sched_finish, METH_NOARGS,
-     "Flush deferred state and fold the word path's counters; return "
+     "Flush deferred state and fold the home-word row's counters; return "
      "(hits_r, hits_w, per-core breakdown rows (compute, l1_to_l2, "
      "l2_waiting, l2_sharers, l2_offchip), (word_reads, word_writes, "
-     "access_exits, sync_exits))."},
+     "access_exits, sync_exits), {decline reason: count})."},
     {"stats", (PyCFunction)Sched_stats, METH_NOARGS,
      "Introspection counters (tests only)."},
     {NULL, NULL, 0, NULL},

@@ -199,7 +199,19 @@ class _PyMeshKernel:
 
     def route(self, src: int, dst: int) -> tuple[int, ...]:
         """The XY route src -> dst as dense link ids (memoized)."""
+        num_tiles = self.num_tiles
+        if not (0 <= src < num_tiles and 0 <= dst < num_tiles):
+            self._bad_tile(src, dst)
         return self._path(src, dst)[0]
+
+    def _bad_tile(self, *tiles: int) -> None:
+        """Raise for the first tile outside the mesh.  Every entry point
+        checks its tiles before its first side effect, as the compiled
+        kernel does: the flat route memo would alias an out-of-range pair
+        onto another pair's route."""
+        for tile in tiles:
+            if not 0 <= tile < self.num_tiles:
+                raise ValueError(f"tile {tile} outside 0..{self.num_tiles - 1}")
 
     def traverse(self, links, t_head: float, flits: int) -> float:
         """Send ``flits`` along an explicit link sequence; return the tail
@@ -207,8 +219,11 @@ class _PyMeshKernel:
         return self._walk(self._descriptor(tuple(links)), t_head, flits)
 
     def unicast(self, src: int, dst: int, msg: MsgType, start: float) -> float:
+        num_tiles = self.num_tiles
+        if not (0 <= src < num_tiles and 0 <= dst < num_tiles):
+            self._bad_tile(src, dst)
         self.calls_unicast += 1
-        path = self._routes[src * self.num_tiles + dst] or self._path(src, dst)
+        path = self._routes[src * num_tiles + dst] or self._path(src, dst)
         return self._walk(path, start, self._flits[msg])
 
     def traverse_chain(
@@ -221,9 +236,11 @@ class _PyMeshKernel:
         gap: float,
         msg2: MsgType,
     ) -> tuple[float, float]:
+        num_tiles = self.num_tiles
+        if not (0 <= src < num_tiles and 0 <= dst < num_tiles):
+            self._bad_tile(src, dst)
         self.calls_chain += 1
         routes = self._routes
-        num_tiles = self.num_tiles
         path1 = routes[src * num_tiles + dst] or self._path(src, dst)
         path2 = routes[dst * num_tiles + src] or self._path(dst, src)
         t1 = self._walk(path1, t0, self._flits[msg1])
@@ -233,9 +250,12 @@ class _PyMeshKernel:
     def traverse_many(
         self, src: int, dsts: list[int], msg: MsgType, t_head: float
     ) -> list[float]:
+        num_tiles = self.num_tiles
+        if not 0 <= src < num_tiles or not all(0 <= dst < num_tiles for dst in dsts):
+            self._bad_tile(src, *dsts)
         self.calls_many += 1
         routes = self._routes
-        row = src * self.num_tiles
+        row = src * num_tiles
         flits = self._flits[msg]
         walk = self._walk
         return [
@@ -244,6 +264,8 @@ class _PyMeshKernel:
         ]
 
     def broadcast(self, root: int, msg: MsgType, start: float) -> dict[int, float]:
+        if not 0 <= root < self.num_tiles:
+            self._bad_tile(root)
         self.calls_broadcast += 1
         flits = self._flits[msg]
         arrival: dict[int, float] = {root: start}

@@ -312,16 +312,46 @@ class ProtocolEngineBase:
         }
 
     def scheduler_word_path(self) -> dict | None:
-        """Opt-in native word access for the compiled scheduler kernel.
+        """The compiled scheduler kernel's home-word row descriptor.
 
-        A family whose resident-line service is a fixed word round-trip
-        (DLS) may return a descriptor of the raw structures that service
-        reads - page table, L2 set dicts, route memo, history flags - and
-        the kernel then retires such records without calling
-        :meth:`access` (DESIGN.md sec. 14, "Native shapes").  Only the
-        compiled kernel consumes it; the pure-Python loop never asks.
-        Default: None.
+        The row retires a record as a word access at the line's home L2
+        without calling :meth:`access` - both legs through the mesh
+        kernel's chain entry, serialization, L2 bookkeeping, history
+        flags and miss type (DESIGN.md sec. 14, "One home-word row").
+        The descriptor holds the structures that service reads and
+        writes (L1 objects, L2 slices, stores and set dicts, history
+        flags, the ``L2Line`` type) plus the fields of the family's
+        admission gate, :meth:`_home_word_gate`; the gate declines to
+        :meth:`access` wherever Python would do something the row does
+        not.  None when the family has no gate, under verification
+        (golden checks and write tokens stay in Python) and without the
+        compiled mesh kernel (the legs reserve there).  The pure-Python
+        record walk ignores it.
         """
+        gate = self._home_word_gate()
+        network = self.network
+        if gate is None or self.verify or network.implementation != "accel":
+            return None
+        return {
+            **gate,
+            "engine": self,
+            "mesh": network._kernel,
+            "words_per_line": self._words_per_line,
+            "l2_latency": self._l2_latency,
+            "l1s": self.l1d,
+            "slices": self.l2,
+            "stores": [slice_.store for slice_ in self.l2],
+            "sets": [slice_.store._sets for slice_ in self.l2],
+            "set_mask": self.l2[0].store._set_mask,
+            "line_type": L2Line,
+            "history": self._history,
+        }
+
+    def _home_word_gate(self) -> dict | None:
+        """The family's admission gate for the home-word row: ``"gate"``
+        names it (``dls``, ``adaptive``, ``phase`` or ``neat``) and the
+        other fields are the side tables it reads.  Default: None, no
+        record of the family retires in the row."""
         return None
 
     def sync_boundary_hook(self):

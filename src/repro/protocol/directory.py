@@ -42,6 +42,7 @@ from __future__ import annotations
 from repro.common import addr as addrmod
 from repro.common.errors import CoherenceError, SimulationError
 from repro.common.types import MESIState, RemovalReason, SharerMode
+from repro.coherence.classifier import CoreLocality, LimitedClassifier
 from repro.coherence.directory import DirectoryEntry
 from repro.mem.l2 import L2Line, L2Slice
 from repro.network.messages import MsgType
@@ -135,6 +136,41 @@ class DirectoryEngine(ProtocolEngineBase):
         against the golden memory and must take the full path.
         """
         return None if self.verify else self._l1_fast_path()
+
+    def _home_word_gate(self) -> dict | None:
+        """The paper's remote access (Section 3): an L1 miss whose line is
+        resident at its memoized home, with no foreign copy, by a core the
+        classifier serves remotely without promoting it.  The row retires
+        it when the core's tracked entry is REMOTE and its remote
+        utilization stays under PCT (RAT policy; no RAT level is below
+        PCT, so it stays under both thresholds), or when Limited_k
+        has every slot active and the majority votes REMOTE.  The row
+        updates the classifier through its own ``on_remote_access`` and,
+        on a write, ``on_write``.
+        Baseline and victim have no classifier: every miss is a private
+        grant, so they have no gate."""
+        classifier = self.classifier
+        if classifier is None:
+            return None
+        if classifier.one_way:
+            policy = "one_way"  # remote is terminal
+        elif classifier.use_timestamp:
+            policy = "timestamp_policy"  # reads the L1 set's timestamps
+        else:
+            policy = None  # RAT: retire below PCT
+        return {
+            "gate": "adaptive",
+            "homes": self._line_home_cache,
+            "directory_type": DirectoryEntry,
+            "classifier": classifier,
+            "on_remote_access": classifier.on_remote_access,
+            "on_write": classifier.on_write,
+            "remote": _REMOTE_MODE,
+            "entry_type": CoreLocality,
+            "pct": classifier.pct,
+            "limited_k": classifier.k if isinstance(classifier, LimitedClassifier) else 0,
+            "policy": policy,
+        }
 
     # ------------------------------------------------------------------
     def _install_line_state(self, l2line: L2Line) -> None:

@@ -52,7 +52,6 @@ own dirty words into the DRAM image.
 from __future__ import annotations
 
 from repro.common import addr as addrmod
-from repro.mem.l2 import L2Line
 from repro.network.messages import MsgType
 from repro.rnuca.page_table import PageKind
 from repro.protocol.base import _EVER_REMOTE, AccessResult, ProtocolEngineBase
@@ -121,34 +120,17 @@ class DLSEngine(ProtocolEngineBase):
         result.l1_to_l2 = result.latency - result.l2_waiting - result.l2_offchip
         return result
 
-    def scheduler_word_path(self) -> dict | None:
-        """The structures the compiled scheduler kernel reads to retire
-        :meth:`access`'s resident branch natively (DESIGN.md sec. 14,
-        "Native shapes").  The kernel declines to ``access`` whenever a
-        Python-side effect could be due (unclassified page, another core's
-        private page, non-resident line).  Engaged only without
-        verification (golden checks and write tokens stay in Python) and
-        with the compiled mesh kernel (both legs reserve through its chain
-        entry, by tile id and message type)."""
-        network = self.network
-        if self.verify or network.implementation != "accel":
-            return None
-        store = self.l2[0].store
+    def _home_word_gate(self) -> dict:
+        """Every access is a word access at its word home: the row retires
+        :meth:`access`'s resident branch.  It declines when the page is
+        unclassified, another core's private page or an instruction page,
+        or the line is not resident at the home."""
         return {
-            "engine": self,
-            "mesh": network._kernel,
+            "gate": "dls",
             "pages": self.placement.page_table._pages,
             "private": PageKind.PRIVATE,
             "shared": PageKind.SHARED,
             "page_size": self.arch.page_size,
-            "words_per_line": self._words_per_line,
-            "l2_latency": self._l2_latency,
-            "slices": self.l2,
-            "stores": [slice_.store for slice_ in self.l2],
-            "sets": [slice_.store._sets for slice_ in self.l2],
-            "set_mask": store._set_mask,
-            "line_type": L2Line,
-            "history": self._history,
         }
 
     # ------------------------------------------------------------------

@@ -153,6 +153,16 @@ class NeatEngine(ProtocolEngineBase):
             return None
         return self._l1_fast_path(versions=(self._copy_version, self._line_version))
 
+    def _home_word_gate(self) -> dict | None:
+        """Eager self-downgrade of a copy-less store is a word write at the
+        home: the row retires a write miss with no L1 copy whose line is
+        resident at its memoized home, and bumps the line version in
+        place.  Reads (line fills) and writes to a held copy decline.
+        Release batching buffers stores instead: no gate."""
+        if self._release_batching:
+            return None
+        return {"gate": "neat", "homes": self._line_home_cache, "versions": self._line_version}
+
     # ------------------------------------------------------------------
     def _self_invalidate(self, core: int, line: int, t: float) -> None:
         """Discard ``core``'s (stale) copy of ``line``, recording the

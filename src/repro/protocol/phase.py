@@ -45,6 +45,7 @@ untouched.
 
 from __future__ import annotations
 
+from repro.coherence.directory import DirectoryEntry
 from repro.protocol.directory import DirectoryEngine
 
 # Line phases, ordered so decay is a subtraction.
@@ -89,6 +90,21 @@ class PhaseEngine(DirectoryEngine):
         stats.phase_promotions = self.phase_promotions
         stats.phase_demotions = self.phase_demotions
         stats.phase_word_accesses = self.phase_word_accesses
+
+    def _home_word_gate(self) -> dict:
+        """A write-shared line is serviced as a word access at its home
+        (its ``_classify_requester`` branch): the row retires an L1 miss
+        on a line resident at its memoized home, with no foreign copy,
+        whose phase is WRITE_SHARED with no decay due
+        (``_epoch <= info[2]``).  It records the requester as the line's
+        last accessor."""
+        return {
+            "gate": "phase",
+            "homes": self._line_home_cache,
+            "directory_type": DirectoryEntry,
+            "phases": self._line_phase,
+            "write_shared": PHASE_WRITE_SHARED,
+        }
 
     # ------------------------------------------------------------------
     # Release epochs drive phase decay.

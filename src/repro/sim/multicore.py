@@ -77,12 +77,13 @@ class Simulator:
         self.warmup = warmup
         # Records of the most recent _execute pass retired without an
         # ``access`` call - inline L1 hits plus, on the compiled kernel,
-        # native DLS word accesses (telemetry snapshot inputs; not part of
+        # home-word row retirements (telemetry snapshot inputs; not part of
         # RunStats).
         self._fast_read_hits = 0
         self._fast_write_hits = 0
-        # The scheduler kernel's retirements and exits by reason for the
-        # most recent pass (either kernel; None before the first).
+        # The scheduler kernel's retirements, row declines and exits by
+        # reason for the most recent pass (either kernel; None before the
+        # first).
         self._sched_counts: dict[str, int] | None = None
 
     # ------------------------------------------------------------------
@@ -325,9 +326,10 @@ class Simulator:
                 # sweep and the warmup -> measure transition rely on this).
                 for core in range(num_cores):
                     sync_cb(core, clocks[core])
-            # finish() also folds the word path's native counters (energy,
-            # slice, miss-type and mesh traffic sums) into the engine.
-            hits_r, hits_w, rows, native = kernel.finish()
+            # finish() also folds the home-word row's native counters
+            # (energy, L1/slice/miss-type and family counters) into the
+            # engine.
+            hits_r, hits_w, rows, native, declines = kernel.finish()
             word_reads, word_writes, access_exits, sync_exits = native
             # The kernels accumulate from zero and the fields below are
             # zero, so each sum lands bit-identically.
@@ -360,6 +362,7 @@ class Simulator:
                 "retired.l2_word": word_reads + word_writes,
                 "exits.access": access_exits,
                 "exits.sync": sync_exits,
+                **{f"decline.{reason}": n for reason, n in declines.items()},
             }
             return clocks
         finally:
@@ -423,8 +426,9 @@ class _PySchedKernel:
     generator, so the walk's hoisted locals survive those exits.
 
     This is the ungated reference the compiled walk is checked against.
-    It ignores the ``word`` descriptor (a native-only shape) and, since it
-    probes the engine's own L1 buckets, needs no membership observer.
+    It ignores the ``row`` descriptor (the home-word row is native-only,
+    so it reports no declines) and, since it probes the engine's own L1
+    buckets, needs no membership observer.
     """
 
     __slots__ = (
@@ -434,7 +438,7 @@ class _PySchedKernel:
 
     def __init__(
         self, ops_cols, addr_cols, work_cols, start_clocks, l1_hit_latency,
-        access, result_type, fast, word,
+        access, result_type, fast, row,
     ) -> None:
         num_cores = len(ops_cols)
         self._lengths = [len(col) for col in ops_cols]
@@ -481,7 +485,7 @@ class _PySchedKernel:
             (acc, bd.l1_to_l2, bd.l2_waiting, bd.l2_sharers, bd.l2_offchip)
             for acc, bd in zip(self._compute, self._latency)
         ]
-        return self._hits_r, self._hits_w, rows, (0, 0, *self._exits)
+        return self._hits_r, self._hits_w, rows, (0, 0, *self._exits), {}
 
     def _records(self, ops_cols, addr_cols, work_cols, l1_hit_latency, access, fast):
         """The walk itself; yields at each synchronization record.

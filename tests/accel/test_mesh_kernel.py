@@ -9,7 +9,8 @@ meshes.
 The compiled kernel checks every argument before its first side effect.
 Each of its error returns is reached here: a rejected call raises a typed
 error and leaves the slot table, the overflow map and every counter as they
-were.
+were.  The twin checks its tiles the same way (its flat route memo would
+otherwise alias an out-of-range pair onto another pair's route).
 """
 
 from __future__ import annotations
@@ -73,9 +74,11 @@ def test_every_route_is_mesh2d_route_in_dense_ids(impl, num_tiles):
 # ----------------------------------------------------------------------
 # Error returns of the compiled kernel
 # ----------------------------------------------------------------------
-def loaded_kernel():
-    """A 16-tile kernel with window and overflow occupancy."""
-    kernel = compiled_class()(16, 2.0, FLITS)
+def loaded_kernel(impl: str = "accel"):
+    """A 16-tile kernel with window and overflow occupancy.  Route 1 -> 0
+    is memoized: in a flat memo, pair (0, 16) would alias it."""
+    kernel = make_kernel(impl, 16)
+    kernel.unicast(1, 0, MsgType.LINE_REPLY, 100.0)
     for i in range(24):
         kernel.unicast(i % 16, (5 * i) % 16, MsgType.LINE_REPLY, float(3 * i))
     kernel.traverse_chain(0, 15, MsgType.READ_REQ, 9e5, 9e5 + 40.0, 7.0, MsgType.LINE_REPLY)
@@ -90,8 +93,12 @@ def loaded_kernel():
 
 
 def snapshot(kernel) -> tuple:
+    if isinstance(kernel, _PyMeshKernel):
+        state = (tuple(kernel.slots), tuple(kernel._routes))
+    else:
+        state = bytes(memoryview(kernel))
     return (
-        bytes(memoryview(kernel)),
+        state,
         sorted(kernel.overflow_items()),
         tuple(getattr(kernel, name) for name in COUNTERS),
     )
@@ -152,6 +159,23 @@ def test_rejected_call_raises_typed_and_changes_nothing(case):
     kernel = loaded_kernel()
     before = snapshot(kernel)
     with pytest.raises(error):
+        getattr(kernel, method)(*args)
+    assert snapshot(kernel) == before
+
+
+#: The tile cases of BAD_CALLS, which the twin must refuse the same way.
+TILE_CASES = (
+    "unicast-src-high", "unicast-src-negative", "unicast-dst-high", "chain-dst",
+    "many-last-target", "many-src", "broadcast-root", "route-tile",
+)
+
+
+@pytest.mark.parametrize("case", TILE_CASES)
+def test_twin_rejects_out_of_range_tiles_and_changes_nothing(case):
+    method, args, error = BAD_CALLS[case]
+    kernel = loaded_kernel("fallback")
+    before = snapshot(kernel)
+    with pytest.raises(error, match="tile"):
         getattr(kernel, method)(*args)
     assert snapshot(kernel) == before
 

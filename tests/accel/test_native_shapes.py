@@ -1,23 +1,29 @@
 """Native scheduler shapes against the pure-Python reference, verify off.
 
 The compiled scheduler kernel retires two shapes without an ``access`` call
-(DESIGN.md section 14, "Native shapes"): Neat's version-gated L1 read hit
-and the DLS resident word access.  Both are disabled under verification,
-so the golden differential, the exhaustive tier and the chaos matrix never
-see them.  This module is their oracle: random traces on tiny geometries
-(1-2-way caches, small pages that force private -> shared transitions,
-L2 evictions) run with every kernel off (``REPRO_NO_ACCEL=1``) and under
-each of the three compiled combinations, and everything observable must
-match bit for bit - ``RunStats``, mesh traffic counters, every resident
-L1/L2 line's LRU and timing fields, the LRU counters, the history flags
-and the per-family side tables.
+(DESIGN.md section 14, "One home-word row"): Neat's version-gated L1 read
+hit and the home-word row - a word access at the line's home L2 behind one
+admission gate per family (DLS, the adaptive protocol's remote access,
+phase's write-shared lines, Neat's eager write-through).  Both are disabled
+under verification, so the golden differential, the exhaustive tier and
+the chaos matrix never see them.  This module is their oracle: random
+traces on tiny geometries (1-2-way caches, small pages that force private
+-> shared transitions, L2 evictions) run with every kernel off
+(``REPRO_NO_ACCEL=1``) and under each of the three compiled combinations,
+and everything observable must match bit for bit - ``RunStats``, mesh
+traffic counters, every resident L1/L2 line's LRU and timing fields, the
+LRU counters, the L1/L2 counters, the history flags, the classifier's
+per-line entries and counters and the per-family side tables.  Baseline
+and victim have no gate; they run here for the L1 mirror's tombstone,
+resize and eviction paths.
 
 The seeded cases follow ``REPRO_DIFF_SEEDS`` (CI pins ``7,19``); the
 hypothesis property explores further traces.
 
-The leak check runs the DLS and Neat radix points repeatedly in one
-process: the word path creates line/page integers and writes the history
-dict on every record, so a missed decref would show as growth.
+The leak checks run each gated family's radix point repeatedly in one
+process: the row creates line/page integers and writes the history, phase
+and version dicts on every record, so a missed decref would show as
+growth.
 """
 
 from __future__ import annotations
@@ -35,7 +41,16 @@ from hypothesis import strategies as st
 
 from repro import accel
 from repro.accel import build
-from repro.common.params import ArchConfig, CacheGeometry, dls_protocol, neat_protocol
+from repro.common.params import (
+    ArchConfig,
+    CacheGeometry,
+    ProtocolConfig,
+    baseline_protocol,
+    dls_protocol,
+    neat_protocol,
+    phase_protocol,
+    victim_replication_protocol,
+)
 from repro.protocol.engine import make_engine
 from repro.rnuca.page_table import PageKind
 from repro.sim.multicore import Simulator
@@ -47,10 +62,28 @@ pytestmark = pytest.mark.skipif(
     build.find_compiler() is None, reason="no C compiler on this host"
 )
 
+PCT4 = ProtocolConfig(protocol="adaptive", pct=4, rat_max=16)  # Limited_3, RAT
 PROTOCOLS = {
     "dls": dls_protocol(),
     "neat-eager": neat_protocol("eager"),
     "neat-release": neat_protocol("release"),
+    "adaptive-pct4": PCT4,
+    # Under the Timestamp policy tracked entries decline; under Adapt1-way
+    # they decline too, but Limited_3 votes still retire.
+    "adaptive-complete-timestamp": ProtocolConfig(
+        protocol="adaptive", pct=4, classifier="complete", remote_policy="timestamp"
+    ),
+    "adaptive-one-way": ProtocolConfig(protocol="adaptive", pct=4, rat_max=16, one_way=True),
+    "phase": phase_protocol(),
+    "baseline": baseline_protocol(),
+    "victim": victim_replication_protocol(),
+}
+#: The gated families: the row retires some of their records.
+GATED = {
+    "dls": PROTOCOLS["dls"],
+    "neat": PROTOCOLS["neat-eager"],
+    "adaptive-pct4": PCT4,
+    "phase": PROTOCOLS["phase"],
 }
 
 #: Kernel-disabling variables per combination; the reference disables all.
@@ -171,9 +204,34 @@ def snapshot(arch, proto, trace, warmup: bool) -> dict:
         ],
         "history": engine._history,
         "pages": engine.placement.page_table._pages,
+        "counters": (
+            [(l1.hits, l1.misses) for l1 in engine.l1d],
+            [(s.hits, s.misses, s.word_reads, s.word_writes, s.line_reads, s.line_writes)
+             for s in engine.l2],
+        ),
     }
+    classifier = engine.classifier
+    if classifier is not None:
+        out["locality"] = sorted(
+            (line, core, e.mode, e.remote_util, e.rat_level, e.active)
+            for s in engine.l2
+            for line, l2line in s.store.lines()
+            for core, e in (l2line.locality or {}).items()
+        )
+        out["classifier"] = {
+            name: getattr(classifier, name)
+            for name in ("promotions", "demotions", "remote_accesses", "vote_decisions",
+                         "replacements", "allocation_failures")
+            if hasattr(classifier, name)
+        }
+    if proto.protocol == "phase":
+        out["phases"] = (
+            engine._line_phase, engine._epoch, engine.phase_promotions,
+            engine.phase_demotions, engine.phase_word_accesses,
+        )
     if proto.protocol == "neat":
         out["versions"] = (engine._copy_version, engine._line_version, engine._pending)
+        out["neat"] = (engine.self_invalidations, engine.write_throughs)
     return out
 
 
@@ -207,12 +265,16 @@ class TestShapesEngage:
 
     ARCH = ArchConfig(num_cores=16, num_memory_controllers=4)
 
-    def _run(self, proto):
+    def _run(self, proto, verify=False):
         trace = load_workload("radix", self.ARCH, scale="tiny")
         with kernel_env({}):
-            sim = Simulator(self.ARCH, proto, warmup=True)
+            sim = Simulator(self.ARCH, proto, warmup=True, verify=verify)
             sim.run(trace)
         return sim
+
+    @staticmethod
+    def _declines(counts) -> dict[str, int]:
+        return {k: v for k, v in counts.items() if k.startswith("decline.")}
 
     def test_dls_word_path_retires_most_records(self):
         sim = self._run(dls_protocol())
@@ -221,29 +283,59 @@ class TestShapesEngage:
         assert counts["retired.l2_word"] > 10 * counts["exits.access"]
         assert sim._fast_read_hits + sim._fast_write_hits == counts["retired.l2_word"]
 
+    @pytest.mark.parametrize("name", sorted(GATED))
+    def test_each_gate_retires_and_names_every_decline(self, name):
+        """Each gate retires records, and every record it declines goes
+        to ``access`` with exactly one reason."""
+        sim = self._run(GATED[name])
+        counts = sim._sched_counts
+        assert counts["retired.l2_word"] > 0
+        assert sum(self._declines(counts).values()) == counts["exits.access"]
+
     @pytest.mark.parametrize("mode", ["eager", "release"])
     def test_neat_gate_retires_reads_only(self, mode):
+        """The read-hit gate retires reads only; the row retires eager
+        write-throughs only, and release mode has no row."""
         sim = self._run(neat_protocol(mode))
         counts = sim._sched_counts
-        assert counts["retired.l1_hit"] > 0
-        assert counts["retired.l2_word"] == 0
-        assert sim._fast_write_hits == 0
+        assert counts["retired.l1_hit"] == sim._fast_read_hits > 0
+        assert counts["retired.l2_word"] == sim._fast_write_hits
+        if mode == "eager":
+            assert counts["retired.l2_word"] > 0
+        else:
+            assert counts["retired.l2_word"] == 0
+            assert self._declines(counts) == {}
+
+    def test_promotion_past_the_gate_raises(self, monkeypatch):
+        """The adaptive row calls the classifier's ``on_remote_access``
+        after admitting a record it showed cannot promote; a promotion
+        there would mean the gate and the policy disagree, and the run
+        fails loudly instead of diverging."""
+        from repro.coherence.classifier.base import LocalityClassifier
+
+        original = LocalityClassifier.on_remote_access
+
+        def always_promote(self, *args):
+            original(self, *args)
+            return True
+
+        monkeypatch.setattr(LocalityClassifier, "on_remote_access", always_promote)
+        with pytest.raises(RuntimeError, match="home-word row admitted"):
+            self._run(PCT4)
 
     def test_verify_runs_take_neither_shape(self):
-        trace = load_workload("radix", self.ARCH, scale="tiny")
-        for proto in (dls_protocol(), neat_protocol()):
-            with kernel_env({}):
-                sim = Simulator(self.ARCH, proto, warmup=True, verify=True)
-                sim.run(trace)
-            assert sim._sched_counts["retired.l1_hit"] == 0
-            assert sim._sched_counts["retired.l2_word"] == 0
+        for proto in GATED.values():
+            counts = self._run(proto, verify=True)._sched_counts
+            assert counts["retired.l1_hit"] == 0
+            assert counts["retired.l2_word"] == 0
+            assert self._declines(counts) == {}
 
 
 class TestNoLeaks:
     ARCH = ArchConfig(num_cores=16, num_memory_controllers=4)
 
-    @pytest.mark.parametrize("proto", [dls_protocol(), neat_protocol()], ids=["dls", "neat"])
-    def test_repeated_runs_stay_flat(self, proto):
+    @pytest.mark.parametrize("name", sorted(GATED))
+    def test_repeated_runs_stay_flat(self, name):
         """Five full runs in one process: traced memory and the number of
         gc-tracked objects must not grow from run to run."""
         trace = load_workload("radix", self.ARCH, scale="tiny")
@@ -252,7 +344,7 @@ class TestNoLeaks:
             tracemalloc.start()
             try:
                 for _ in range(5):
-                    Simulator(self.ARCH, proto, warmup=True).run(trace)
+                    Simulator(self.ARCH, GATED[name], warmup=True).run(trace)
                     gc.collect()
                     memory.append(tracemalloc.get_traced_memory()[0])
                     objects.append(len(gc.get_objects()))
@@ -264,10 +356,11 @@ class TestNoLeaks:
         assert max(memory[1:]) - memory[1] < 64 * 1024, memory
         assert max(objects[1:]) - objects[1] < 100, objects
 
-    @pytest.mark.parametrize("proto", [dls_protocol(), neat_protocol()], ids=["dls", "neat"])
-    def test_refcounts_flat_across_passes(self, proto):
+    @pytest.mark.parametrize("name", sorted(GATED))
+    def test_refcounts_flat_across_passes(self, name):
         """Repeated kernel passes over one engine leave the refcounts of
-        the structures the shapes read and write unchanged."""
+        the structures the row reads and writes unchanged."""
+        proto = GATED[name]
         trace = load_workload("radix", self.ARCH, scale="tiny")
         with kernel_env({}):
             sim = Simulator(self.ARCH, proto, warmup=False)
@@ -280,16 +373,26 @@ class TestNoLeaks:
                 clocks = sim._execute(engine, trace, clocks, breakdowns)
 
             one_pass()
-            history = engine._history[0]
+            assert sim._sched_counts["retired.l2_word"] > 0
             page, entry = next(
                 (p, e) for p, e in engine.placement.page_table._pages.items()
                 if e[0] is PageKind.SHARED
             )
             l2line = next(e for s in engine.l2 for _line, e in s.store.lines())
-            watched = (history, entry, l2line, engine.network._kernel)
+            watched = [engine._history[0], entry, l2line, engine.network._kernel,
+                       engine._line_home_cache]
+            if engine.classifier is not None:
+                watched.append(engine.classifier)
+                watched += [
+                    e for s in engine.l2 for _line, l2 in s.store.lines()
+                    for e in (l2.locality or {}).values()
+                ][:8]
+            if proto.protocol == "phase":
+                watched += [engine._line_phase, *list(engine._line_phase.values())[:8]]
+            if proto.protocol == "neat":
+                watched.append(engine._line_version)
             before = [sys.getrefcount(obj) for obj in watched]
             for _ in range(4):
                 one_pass()
                 assert engine.placement.page_table._pages[page] is entry
                 assert [sys.getrefcount(obj) for obj in watched] == before
-        assert sim._sched_counts["exits.sync"] > 0

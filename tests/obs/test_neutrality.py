@@ -67,20 +67,27 @@ def test_instrumented_run_emits_spans_and_counters(tmp_path):
             "mesh.slot_recycles", "sim.fastpath.read_hits"} <= counters
 
 
+#: Families with a home-word row gate (DESIGN.md section 14).
+ROW_FAMILIES = ("pct", "dls", "neat", "phase")
+
+
 @pytest.mark.parametrize(
     "family,kernel",
-    [pytest.param(family, "compiled", id=family) for family in ("pct", "dls", "neat")]
+    [pytest.param(family, "compiled", id=family) for family in FAMILIES]
     + [pytest.param(family, "twin", id=f"{family}-twin") for family in ("pct", "dls", "neat")],
 )
 def test_sched_exit_counters_emitted_and_neutral(family, kernel, tmp_path, monkeypatch):
     """Either scheduler kernel's retirement/exit counters are emitted per
     run, account for every memory record of the measured pass, and leave
-    ``RunStats`` untouched.  ``twin`` runs the pure-Python record walk
-    (``REPRO_NO_ACCEL=1``)."""
+    ``RunStats`` untouched.  The home-word row names a reason for every
+    record it declines: its retirements plus its declines are the records
+    it saw, every memory record but the L1 hits.  ``twin`` runs the
+    pure-Python record walk (``REPRO_NO_ACCEL=1``), which has no row and
+    reports no declines."""
     if kernel == "twin":
         monkeypatch.setenv(accel.NO_ACCEL_ENV, "1")
-    elif accel.sched_kernel_class() is None:
-        pytest.skip("compiled scheduler kernel unavailable")
+    elif accel.sched_kernel_class() is None or accel.mesh_kernel_class() is None:
+        pytest.skip("compiled kernels unavailable")
     (job,) = _jobs((family,))
     baseline = execute_job(job).to_dict()
     sink = tmp_path / "events.jsonl"
@@ -100,10 +107,15 @@ def test_sched_exit_counters_emitted_and_neutral(family, kernel, tmp_path, monke
     memory_records = counters["sim.l1d.accesses"]
     assert retired + counters["sched.exits.access"] == memory_records
     assert counters["sched.exits.sync"] > 0
-    if family == "dls" and kernel == "compiled":
-        assert counters["sched.retired.l2_word"] > 0
+    declines = {k: v for k, v in counters.items() if k.startswith("sched.decline.")}
+    if family in ROW_FAMILIES and kernel == "compiled":
+        seen = memory_records - counters["sched.retired.l1_hit"]
+        assert counters["sched.retired.l2_word"] + sum(declines.values()) == seen
+        if family != "neat":  # every Neat store of this trace holds a copy
+            assert counters["sched.retired.l2_word"] > 0
     else:
         assert counters["sched.retired.l2_word"] == 0
+        assert declines == {}
 
 
 def _counters(sink) -> dict[str, int]:
