@@ -613,12 +613,22 @@ call_access(SchedObject *k, long long core, int is_write, long long address,
     return res;
 }
 
-static int
-slot_double(SchedObject *k, PyObject *obj, Py_ssize_t off, double *out)
+/* A slot that must be set; AttributeError when it is not. */
+static inline PyObject *
+slot_get(PyObject *obj, Py_ssize_t off)
 {
     PyObject *v = *SLOT(obj, off);
     if (v == NULL) {
         PyErr_SetString(PyExc_AttributeError, "unset __slots__ member");
+    }
+    return v;
+}
+
+static int
+slot_double(SchedObject *k, PyObject *obj, Py_ssize_t off, double *out)
+{
+    PyObject *v = slot_get(obj, off);
+    if (v == NULL) {
         return -1;
     }
     double d = PyFloat_AsDouble(v);
@@ -689,17 +699,6 @@ decline(SchedObject *k, int reason)
 {
     k->declines[reason] += 1;
     return 0;
-}
-
-/* A slot that must be set; AttributeError when it is not. */
-static inline PyObject *
-slot_get(PyObject *obj, Py_ssize_t off)
-{
-    PyObject *v = *SLOT(obj, off);
-    if (v == NULL) {
-        PyErr_SetString(PyExc_AttributeError, "unset __slots__ member");
-    }
-    return v;
 }
 
 static inline int
@@ -1453,6 +1452,19 @@ desc_ref(PyObject *desc, const char *name, PyTypeObject *type, PyObject **slot)
     return 0;
 }
 
+/* The truth of obj.name: 1, 0, or -1 on error. */
+static int
+attr_true(PyObject *obj, const char *name)
+{
+    PyObject *v = PyObject_GetAttrString(obj, name);
+    if (v == NULL) {
+        return -1;
+    }
+    int truth = PyObject_IsTrue(v);
+    Py_DECREF(v);
+    return truth;
+}
+
 /* The gate-specific fields of the row descriptor. */
 static int
 adopt_gate(SchedObject *k, PyObject *row)
@@ -1493,12 +1505,9 @@ adopt_gate(SchedObject *k, PyObject *row)
         k->off_epoch = member_offset((PyObject *)Py_TYPE(k->w_engine), "_epoch");
         return k->off_epoch < 0 ? -1 : 0;
     }
-    /* Adaptive.  `policy` names the decline of a tracked REMOTE entry, or
-     * is None under the RAT policy, which the row retires. */
+    /* Adaptive. */
     static const char *const entry_names[] = {"mode", "remote_util", "active"};
-    PyObject *policy = desc_get(row, "policy");
-    if (policy == NULL
-        || desc_ref(row, "classifier", NULL, &k->w_classifier) < 0
+    if (desc_ref(row, "classifier", NULL, &k->w_classifier) < 0
         || desc_ref(row, "on_remote_access", NULL, &k->w_on_remote) < 0
         || desc_ref(row, "on_write", NULL, &k->w_on_write) < 0
         || desc_ref(row, "remote", NULL, &k->w_remote) < 0
@@ -1510,13 +1519,15 @@ adopt_gate(SchedObject *k, PyObject *row)
                                          &k->off_e_active}, 3) < 0) {
         return -1;
     }
-    k->w_policy = policy == Py_None ? ADMIT : -1;
-    for (int d = 0; d < N_DECLINES && PyUnicode_Check(policy); d++) {
-        if (PyUnicode_CompareWithASCIIString(policy, decline_names[d]) == 0) {
-            k->w_policy = d;
-        }
+    /* A tracked REMOTE entry retires only under the RAT policy: Adapt1-way
+     * makes remote terminal, and the Timestamp check reads the L1 set. */
+    int one_way = attr_true(k->w_classifier, "one_way");
+    int timestamp = one_way < 0 ? -1 : attr_true(k->w_classifier, "use_timestamp");
+    if (timestamp < 0) {
+        return -1;
     }
-    if (k->w_policy < 0 || !PyCallable_Check(k->w_on_remote)
+    k->w_policy = one_way ? D_ONE_WAY : timestamp ? D_TIMESTAMP_POLICY : ADMIT;
+    if (!PyCallable_Check(k->w_on_remote)
         || !PyCallable_Check(k->w_on_write)) {
         PyErr_SetString(PyExc_ValueError, "malformed adaptive gate descriptor");
         return -1;

@@ -146,18 +146,13 @@ class DirectoryEngine(ProtocolEngineBase):
         PCT, so it stays under both thresholds), or when Limited_k
         has every slot active and the majority votes REMOTE.  The row
         updates the classifier through its own ``on_remote_access`` and,
-        on a write, ``on_write``.
+        on a write, ``on_write``; it reads the classifier's ``one_way`` and
+        ``use_timestamp`` flags to decline a tracked entry off RAT.
         Baseline and victim have no classifier: every miss is a private
         grant, so they have no gate."""
         classifier = self.classifier
         if classifier is None:
             return None
-        if classifier.one_way:
-            policy = "one_way"  # remote is terminal
-        elif classifier.use_timestamp:
-            policy = "timestamp_policy"  # reads the L1 set's timestamps
-        else:
-            policy = None  # RAT: retire below PCT
         return {
             "gate": "adaptive",
             "homes": self._line_home_cache,
@@ -169,7 +164,6 @@ class DirectoryEngine(ProtocolEngineBase):
             "entry_type": CoreLocality,
             "pct": classifier.pct,
             "limited_k": classifier.k if isinstance(classifier, LimitedClassifier) else 0,
-            "policy": policy,
         }
 
     # ------------------------------------------------------------------

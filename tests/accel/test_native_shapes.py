@@ -396,3 +396,4 @@ class TestNoLeaks:
                 one_pass()
                 assert engine.placement.page_table._pages[page] is entry
                 assert [sys.getrefcount(obj) for obj in watched] == before
+        assert sim._sched_counts["exits.sync"] > 0
